@@ -13,7 +13,9 @@ Both have closed forms as finite sums over the ancestor chain.  The module
 also ships two direct evaluators, ``apply_pdo_direct`` and
 ``interaction_integral_direct``, which compute the underlying integrals as
 literal sums over leaf cells with no use of the closed forms; tests compare
-the two routes everywhere.
+the two routes everywhere.  They cost O(L^2) per call and are oracles
+only: the leaf solver evaluates the same integrals by O(V) tree sweeps
+(``solver.leaf_rhs``), which tests compare against them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ __all__ = [
     "DEFAULT_LEAF_CAP",
 ]
 
-# interaction_integral_direct refuses larger trees unless told otherwise
+# interaction_integral_direct and the leaf route refuse larger trees
+# unless told otherwise
 DEFAULT_LEAF_CAP = 100
 
 

@@ -139,6 +139,7 @@ class BallTree:
             arr.setflags(write=False)
         self._sup2: np.ndarray | None = None
         self._supv: np.ndarray | None = None
+        self._paths: np.ndarray | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -182,6 +183,12 @@ class BallTree:
         if not self.is_leaf(v):
             raise ValueError(f"vertex {self.labels[v]!r} is not a leaf")
         return int(np.searchsorted(self.leaves, v))
+
+    @property
+    def leaf_ranges(self) -> np.ndarray:
+        """(V, 2) array: row v is the [start, end) range of canonical leaf
+        positions covered by the ball ``v``."""
+        return self._leaf_range
 
     def leaf_slice(self, v: int) -> slice:
         """Range of canonical leaf positions covered by the ball ``v``."""
@@ -249,6 +256,27 @@ class BallTree:
         if a == b:
             return 0.0
         return float(self.diameter[self.sup(a, b)])
+
+    # -- root-path table (cached; used by the leaf-route tree sweeps) -------
+
+    def root_path_table(self) -> np.ndarray:
+        """(V, D) array, D the largest depth: row v lists v and its strict
+        ancestors below the root, from v upward, padded with 0.
+
+        The root never appears on a row, so ``x[table].sum(1)`` sums a
+        per-vertex quantity along each root path whenever ``x[0] == 0``.
+        """
+        if self._paths is None:
+            n = self.n_vertices
+            up = np.maximum(self.parent, 0).astype(np.intp)
+            cur = np.arange(n, dtype=np.intp)
+            paths = np.zeros((n, int(self.depth.max())), dtype=np.intp)
+            for j in range(paths.shape[1]):
+                paths[:, j] = cur
+                cur = up[cur]
+            paths.setflags(write=False)
+            self._paths = paths
+        return self._paths
 
     # -- sup lookup tables (cached; used by the brute-force oracles) --------
 

@@ -216,12 +216,55 @@ def test_rk_zero_slots_stay_exactly_zero():
 
 def test_leaf_rhs_constant_field_is_exact_zero():
     rng = np.random.default_rng(241)
-    tree = uc.random_tree(rng, max_leaves=30)
-    interaction = uc.random_kernel(tree, rng)
-    dissipation = uc.random_kernel(tree, rng)
-    f = uc.LeafField(tree, np.full(tree.n_leaves, 1.3 + 0.4j))
-    out = uc.leaf_rhs(tree, interaction, dissipation, f)
-    assert np.all(out.values == 0)
+    for _ in range(10):
+        tree = uc.random_tree(rng, max_leaves=30)
+        interaction = uc.random_kernel(tree, rng)
+        dissipation = uc.random_kernel(tree, rng)
+        c = complex(*rng.uniform(-2.0, 2.0, 2))
+        f = uc.LeafField(tree, np.full(tree.n_leaves, c))
+        out = uc.leaf_rhs(tree, interaction, dissipation, f)
+        assert np.all(out.values == 0)
+
+
+def test_leaf_rhs_sweeps_match_dense_oracles():
+    # random_tree draws non-uniform leaf measures and mixed branching 2..4
+    rng = np.random.default_rng(271)
+    for _ in range(40):
+        tree = uc.random_tree(rng, max_leaves=100)
+        interaction = uc.random_kernel(tree, rng)
+        dissipation = uc.random_kernel(tree, rng)
+        zero = uc.Kernel.constant(tree, 0.0)
+        f = random_mean_zero_field(tree, rng, max_abs=float(rng.uniform(0.1, 3)))
+        quad = -uc.interaction_integral_direct(interaction, f, f).values
+        lin = -uc.apply_pdo_direct(dissipation, f).values
+        f_abs = np.abs(f.values).max()
+        mass = tree.total_measure
+        quad_scale = np.abs(interaction.values).max() * f_abs ** 2 * mass ** 2
+        lin_scale = np.abs(dissipation.values).max() * f_abs * mass
+        only_quad = uc.leaf_rhs(tree, interaction, zero, f).values
+        only_lin = uc.leaf_rhs(tree, zero, dissipation, f).values
+        both = uc.leaf_rhs(tree, interaction, dissipation, f).values
+        assert np.abs(only_quad - quad).max() <= 1e-13 * quad_scale
+        assert np.abs(only_lin - lin).max() <= 1e-13 * lin_scale
+        assert np.abs(both - quad - lin).max() <= 1e-13 * (quad_scale + lin_scale)
+
+
+def test_leaf_route_never_calls_dense_oracles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the leaf route called a dense oracle")
+
+    for name in ("apply_pdo_direct", "interaction_integral_direct"):
+        for module in (uc, uc.spectral, uc.solver):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(277)
+    tree = uc.random_tree(rng, max_leaves=30, max_depth=3)
+    interaction = uc.random_kernel(tree, rng, max_abs=0.8)
+    dissipation = dissipative_kernel(tree, rng)
+    f0 = random_mean_zero_field(tree, rng, max_abs=0.7)
+    traj = uc.solve_leaf(tree, interaction, dissipation, f0, 0.1, 1e-2)
+    assert np.isfinite(traj.values).all()
+    uc.leaf_rhs(tree, interaction, dissipation, f0)
 
 
 def test_leaf_rhs_reduces_to_linear_part_without_interaction():

@@ -208,6 +208,17 @@ def test_vertex_leaf_sup_table_matches_pairwise_sup():
             assert table[v, j] == tree.sup(v, b)
 
 
+def test_root_path_table_lists_ancestors_below_root():
+    rng = np.random.default_rng(41)
+    tree = uc.random_tree(rng, max_leaves=25)
+    table = tree.root_path_table()
+    assert table.shape == (tree.n_vertices, tree.depth.max())
+    for v in range(tree.n_vertices):
+        below_root = [v, *tree.ancestors(v)][:-1]
+        expected = below_root + [0] * (table.shape[1] - len(below_root))
+        assert table[v].tolist() == expected
+
+
 def test_vertex_lookup_and_labels():
     tree = uc.build_tree({"p": 2, "depth": 2})
     assert tree.vertex("") == tree.root
