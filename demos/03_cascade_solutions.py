@@ -26,7 +26,7 @@ system = uc.assemble(tree, basis, interaction, dissipation)
 print("== the assembled coefficient system ==")
 print(f"  slots: {system.labels}")
 print(f"  decay rates: "
-      f"{ {tree.label(v): z for v, z in system.eta_by_vertex.items()} }")
+      f"{ {tree.label(v): complex(system.eta[v]) for v in tree.internal} }")
 print(f"  couplings: {system.n_couplings} "
       f"(only nested pairs with nonzero coefficient)")
 
@@ -44,8 +44,8 @@ print()
 print("== the nested-pair closed form ==")
 weight = uc.ancestor_value(basis, tree.root, 0, mid) * \
     uc.interaction_coefficient(interaction, tree.root, mid)
-eta_o = system.eta_by_vertex[tree.root]
-eta_i = system.eta_by_vertex[mid]
+eta_o = system.eta[tree.root]
+eta_i = system.eta[mid]
 traj = trajectories["recurrent"]
 grid = traj.grid
 outer_exact = 0.6 * np.exp(-eta_o * grid)

@@ -27,6 +27,7 @@ import numpy as np
 from .config import (
     ConfigError,
     Scenario,
+    ScenarioConfig,
     build_scenario,
     config_hash,
     load_config,
@@ -44,6 +45,7 @@ from .solver import (
     Trajectory,
     analyze_trajectory,
     energy_by_level,
+    grid_steps,
     solve_all,
     solve_leaf,
     solve_recurrent,
@@ -148,18 +150,38 @@ def _oracle_results(scen: Scenario, disagreement: dict | None) -> dict:
     return out
 
 
+def _output_names(config_path: Path, cfg: ScenarioConfig) -> dict[str, str]:
+    defaults = {"trajectory": "trajectory.csv", "energy": "energy.csv",
+                "summary": "summary.json"}
+    return {kind: cfg.outputs.get(kind, f"{config_path.stem}_{suffix}")
+            for kind, suffix in defaults.items()}
+
+
+def _check_output_collisions(files: list[Path], out_dir: Path | None) -> None:
+    """Refuse, before any solve, a run that would write one path twice or
+    overwrite one of its scenario files."""
+    owner = {path.resolve(): path.name for path in files}
+    for path in files:
+        try:
+            names = _output_names(path, load_config(path)).values()
+        except (ValueError, OSError):
+            continue  # reported when the file itself runs
+        for name in names:
+            dest = (Path(out_dir or path.parent) / name).resolve()
+            if dest in owner:
+                raise ConfigError(
+                    f"{path.name}: output {name!r} would overwrite {owner[dest]}"
+                )
+            owner[dest] = f"an output of {path.name}"
+
+
 def run_scenario_file(config_path: Path, out_dir: Path | None) -> int:
     """Solve one scenario file and write its outputs; returns an exit code."""
     cfg = load_config(config_path)
     scen = build_scenario(cfg)
     target = Path(out_dir) if out_dir is not None else config_path.parent
     target.mkdir(parents=True, exist_ok=True)
-    stem = config_path.stem
-    names = {
-        "trajectory": cfg.outputs.get("trajectory", f"{stem}_trajectory.csv"),
-        "energy": cfg.outputs.get("energy", f"{stem}_energy.csv"),
-        "summary": cfg.outputs.get("summary", f"{stem}_summary.json"),
-    }
+    names = _output_names(config_path, cfg)
 
     canonical, solver_metadata, disagreement = _solve_canonical(scen)
     checks = _oracle_results(scen, disagreement)
@@ -212,10 +234,11 @@ def _run_worker(args: tuple[str, str | None]) -> tuple[str, int, str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = Path(args.config)
+    files = sorted(config.glob("*.json")) if config.is_dir() else [config]
+    if not files:
+        raise ConfigError(f"no *.json scenario files in {config}")
+    _check_output_collisions(files, args.out_dir)
     if config.is_dir():
-        files = sorted(config.glob("*.json"))
-        if not files:
-            raise ConfigError(f"no *.json scenario files in {config}")
         jobs = max(1, args.jobs)
         work = [(str(p), str(args.out_dir) if args.out_dir else None)
                 for p in files]
@@ -245,7 +268,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"ok: {sys_.n_slots} wavelet slots, {sys_.n_couplings} couplings, "
         f"{scen.tree.n_leaves} leaves over {scen.tree.n_vertices} balls; "
         f"solver={cfg.solver}, basis={cfg.basis}, "
-        f"grid={int(round(cfg.t_end / cfg.dt))} steps"
+        f"grid={grid_steps(cfg.t_end, cfg.dt)} steps"
     )
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .solver import CascadeSystem, assemble
+from .solver import CascadeSystem, assemble, grid_steps
 from .spectral import Kernel
 from .tree import BallTree, build_tree
 from .wavelets import (
@@ -182,7 +182,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
                 not isinstance(rec, (list, tuple))
                 or len(rec) != 4
                 or not isinstance(rec[0], str)
-                or not isinstance(rec[1], int)
+                or not isinstance(rec[1], int) or isinstance(rec[1], bool)
                 or not all(isinstance(x, (int, float)) for x in rec[2:])
             ):
                 raise ConfigError(
@@ -190,9 +190,13 @@ def parse_config(raw: Any) -> ScenarioConfig:
                     f"[path, index, real, imag], got {rec!r}"
                 )
 
-    for key, kind_ in (("t_end", "t_end"), ("dt", "dt")):
-        if not isinstance(raw[key], (int, float)) or raw[key] <= 0:
-            raise ConfigError(f"'{kind_}' must be a positive number")
+    for key in ("t_end", "dt"):
+        if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
+            raise ConfigError(f"'{key}' must be a positive number")
+    try:
+        grid_steps(raw["t_end"], raw["dt"])  # the check time_grid makes
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from None
 
     outputs = raw.get("outputs", {})
     if not isinstance(outputs, dict) or set(outputs) - _OUTPUT_KEYS:

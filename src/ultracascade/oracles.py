@@ -154,13 +154,13 @@ def interaction_check(
     )
     direct -= row[:, :, None] * Psi.T[None, :, :]
 
-    table = interaction_table(kernel)
-    coeff = np.zeros((n_slots, n_slots), dtype=np.complex128)
-    for p, (outer_vertex, _) in enumerate(basis.slots):
-        for q, (inner_vertex, _) in enumerate(basis.slots):
-            coeff[p, q] = table.get((outer_vertex, inner_vertex), 0j)
-    predicted = (
-        Psi[:, :, None] * Psi.T[None, :, :] * coeff[:, None, :]
-    )
+    # coefficient of every (outer, inner) vertex pair, scattered from the
+    # root-path table; pairs that are not strictly nested stay 0
+    paths = tree.root_path_table()
+    v, j = np.nonzero(np.arange(paths.shape[1]) < tree.depth[:, None])
+    coeff = np.zeros((tree.n_vertices,) * 2, dtype=np.complex128)
+    coeff[tree.parent[paths[v, j]], v] = interaction_table(kernel)[v, j]
+    coeff = coeff[np.ix_(basis.slot_vertex, basis.slot_vertex)]
+    predicted = Psi[:, :, None] * Psi.T[None, :, :] * coeff[:, None, :]
     worst = float(np.abs(direct - predicted).max())
     return worst, n_slots * n_slots

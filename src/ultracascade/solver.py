@@ -9,7 +9,11 @@ integrates the original integro-differential equation directly on leaf
 values.  All three share one uniform time grid so trajectories compare
 without interpolation.
 
-The leaf route evaluates its right-hand side by exact tree sweeps: O(V)
+The coefficient routes read one padded array layout (``CascadeSystem``):
+an rk right-hand side is a gather-sum, O(N * K) for N slots and K
+ancestor wavelets per vertex, and the recurrent route makes one numpy
+pass per depth over the vertices that carry a nonzero initial slot.  The
+leaf route evaluates its right-hand side by exact tree sweeps: O(V)
 work per subtree-sum pass and O(L * depth) per root-path pass, V the
 vertex and L the leaf count.  The dense O(L^2) quadrature routines of
 ``spectral`` are test oracles only; no solver calls them.
@@ -23,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .spectral import DEFAULT_LEAF_CAP, Kernel, eigenvalue, interaction_table
-from .tree import BallTree
+from .tree import BallTree, check_same_tree
 from .wavelets import LeafField, WaveletBasis, WaveletField, analyze, synthesize
 
 __all__ = [
@@ -32,6 +36,7 @@ __all__ = [
     "Trajectory",
     "LeafTrajectory",
     "assemble",
+    "grid_steps",
     "time_grid",
     "solve_recurrent",
     "solve_rk",
@@ -59,20 +64,23 @@ class SolverAbort(RuntimeError):
 class CascadeSystem:
     """Assembled coefficient system: decay rates plus triangular couplings.
 
-    ``couplings`` maps each internal vertex I to the weights of the slots
-    on strictly larger balls that drive every coefficient at I: entries
-    are (ancestor slot index, weight), with weight = (constant value of
-    the ancestor wavelet on I) * (interaction coefficient of the pair).
-    The list order is fixed (ancestors from parent to root, wavelet index
-    ascending) and is the reduction order used by the solvers.
+    Every slot s at an internal vertex v obeys dv_s/dt = -v_s (eta[v] +
+    sum_k weight[k, v] * v[anc_slot[k, v]]).  ``eta`` is the decay rate per
+    vertex (0 on leaves).  ``anc_slot`` and ``weight`` are (K, V) arrays, K
+    the largest number of ancestor wavelets of a vertex; column v lists
+    the slots on strictly larger balls from parent to root, wavelet index
+    ascending, which is the solvers' reduction order.  A weight is the
+    value of the ancestor wavelet on v times the interaction coefficient
+    of the pair.  Padding entries hold slot 0 and weight 0.
     """
 
     tree: BallTree
     basis: WaveletBasis
     interaction: Kernel
     dissipation: Kernel
-    eta_by_vertex: dict[int, complex]
-    couplings: dict[int, tuple[tuple[int, complex], ...]]
+    eta: np.ndarray
+    anc_slot: np.ndarray
+    weight: np.ndarray
 
     @property
     def slots(self) -> tuple[tuple[int, int], ...]:
@@ -88,21 +96,7 @@ class CascadeSystem:
 
     @property
     def n_couplings(self) -> int:
-        return sum(len(v) for v in self.couplings.values())
-
-    def slot_eta(self) -> np.ndarray:
-        """Decay rate per slot (a slot inherits the rate of its vertex)."""
-        return np.array(
-            [self.eta_by_vertex[v] for v, _ in self.slots], dtype=np.complex128
-        )
-
-    def coupling_matrix(self) -> np.ndarray:
-        """Dense (slot, slot) weight matrix; strictly triangular by depth."""
-        W = np.zeros((self.n_slots, self.n_slots), dtype=np.complex128)
-        for i, (v, _) in enumerate(self.slots):
-            for a_slot, w in self.couplings[v]:
-                W[i, a_slot] += w
-        return W
+        return int(np.count_nonzero(self.weight))
 
 
 def assemble(
@@ -113,53 +107,62 @@ def assemble(
 ) -> CascadeSystem:
     """Build the coefficient system for a tree, basis, and kernel pair.
 
-    Decay rates come from ``eigenvalue`` of the dissipation kernel; the
-    coupling weights pair ``interaction_coefficient`` with the constant
-    value of the ancestor wavelet on the descendant ball.  Zero weights
-    are dropped, so a constant interaction kernel yields a system with no
-    couplings at all.
+    Decay rates come from ``eigenvalue`` of the dissipation kernel.  The
+    weights pair the root-path coefficients of ``interaction_table`` with
+    the value of each ancestor wavelet on the child toward the vertex,
+    all gathered at once along ``tree.root_path_table()``.  A constant
+    interaction kernel gives all-zero weights: no couplings at all.
     """
-    for kern in (interaction, dissipation):
-        if kern.tree is not tree and kern.tree != tree:
-            raise ValueError("kernels must live on the system's tree")
-    if basis.tree is not tree and basis.tree != tree:
-        raise ValueError("basis must live on the system's tree")
+    check_same_tree(tree, interaction, dissipation, basis,
+                    message="kernels and basis must live on the system's tree")
+    internal = tree.internal
+    eta = np.zeros(tree.n_vertices, dtype=np.complex128)
+    eta[internal] = [eigenvalue(dissipation, int(v)) for v in internal]
 
-    table = interaction_table(interaction)
-    eta_by_vertex = {
-        int(v): eigenvalue(dissipation, int(v)) for v in tree.internal
-    }
-    couplings: dict[int, tuple[tuple[int, complex], ...]] = {}
-    for v in tree.internal:
-        v = int(v)
-        entries: list[tuple[int, complex]] = []
-        for anc in tree.ancestors(v):
-            coeff = table[(anc, v)]
-            if coeff == 0:
-                continue
-            on_path = tree.child_slot[tree.child_toward(anc, v)]
-            block = basis.coeffs[anc]
-            for jp in range(block.shape[0]):
-                w = complex(block[jp, on_path]) * coeff
-                if w == 0:
-                    continue
-                entries.append((basis.slot_index[(anc, jp)], w))
-        couplings[v] = tuple(entries)
-    return CascadeSystem(
-        tree, basis, interaction, dissipation, eta_by_vertex, couplings
+    paths = tree.root_path_table()[internal]
+    anc = np.maximum(tree.parent, 0)[paths]
+    n_wavelets = np.bincount(basis.slot_vertex, minlength=tree.n_vertices)
+    # entries (row, path position, wavelet index) in C order follow the
+    # reduction order: parent to root, then wavelet index ascending
+    row, pos, j = np.nonzero(
+        (np.arange(paths.shape[1]) < tree.depth[internal][:, None])[:, :, None]
+        & (np.arange(n_wavelets.max()) < n_wavelets[anc][:, :, None])
     )
+    slot = np.searchsorted(basis.slot_vertex, anc[row, pos]) + j
+    # a wavelet is constant on the child toward v: read it at its first leaf
+    value = basis.matrix[slot, tree.leaf_ranges[paths[row, pos], 0]]
+    cols = internal[row]
+    coeff = interaction_table(interaction)[cols, pos]
+    k = np.arange(len(row)) - np.searchsorted(row, row)
+    shape = (int(np.bincount(row, minlength=1).max()), tree.n_vertices)
+    anc_slot = np.zeros(shape, dtype=np.intp)
+    weight = np.zeros(shape, dtype=np.complex128)
+    anc_slot[k, cols] = slot
+    # Python complex products: numpy's vectorized multiply may fuse
+    # multiply-adds and move the last bit of a weight
+    weight[k, cols] = [a * b for a, b in zip(value.tolist(), coeff.tolist())]
+    return CascadeSystem(
+        tree, basis, interaction, dissipation, eta, anc_slot, weight
+    )
+
+
+def grid_steps(t_end: float, dt: float) -> int:
+    """Step count of the grid 0, dt, ..., t_end; dt must divide t_end."""
+    t_end = float(t_end)
+    dt = float(dt)
+    if not (0 < t_end < np.inf and 0 < dt < np.inf):
+        raise ValueError(
+            f"t_end and dt must be positive and finite, got {t_end}, {dt}"
+        )
+    n = int(round(t_end / dt))
+    if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"dt={dt} does not divide t_end={t_end}")
+    return n
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, ..., t_end; dt must divide t_end."""
-    t_end = float(t_end)
-    dt = float(dt)
-    if t_end <= 0 or dt <= 0:
-        raise ValueError(f"t_end and dt must be positive, got {t_end}, {dt}")
-    n = int(round(t_end / dt))
-    if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
-        raise ValueError(f"dt={dt} does not divide t_end={t_end}")
-    return np.arange(n + 1) * dt
+    return np.arange(grid_steps(t_end, dt) + 1) * float(dt)
 
 
 @dataclass
@@ -202,8 +205,15 @@ class LeafTrajectory:
         return LeafField(self.tree, self.values[index].copy())
 
 
-def _slot_depths(system: CascadeSystem) -> np.ndarray:
-    return np.array([system.tree.depth[v] for v, _ in system.slots])
+def _coefficient_trajectory(
+    basis: WaveletBasis, grid: np.ndarray, values: np.ndarray, metadata: dict
+) -> Trajectory:
+    depths = basis.tree.depth[basis.slot_vertex]
+    return Trajectory(grid, basis.slots, basis.labels, depths, values, metadata)
+
+
+def _metadata(solver: str, t_end: float, dt: float, **extra) -> dict:
+    return {"solver": solver, "dt": float(dt), "t_end": float(t_end), **extra}
 
 
 def _check_initial(system: CascadeSystem, v0: WaveletField) -> np.ndarray:
@@ -220,52 +230,47 @@ def solve_recurrent(
 ) -> Trajectory:
     """Solve scale by scale with the integrating-factor closed form.
 
-    Processing vertices from the root downward, every coefficient obeys a
+    Processing depths from the root downward, every coefficient obeys a
     linear equation whose drive depends only on already-solved ancestor
     slots; the solution is v(0) times the exponential of minus the decay
     rate times t minus the running integral of the drive.  The integral
     is taken by cumulative trapezoid on the shared grid, making this
     solver second-order in dt when couplings are active and exact (up to
     rounding) when they are not.  Slots that start at zero stay exactly
-    zero.
+    zero, so each depth is one numpy pass over only the vertices that
+    carry a nonzero initial slot.
     """
     grid = time_grid(t_end, dt)
     v0vec = _check_initial(system, v0)
-    n = len(grid)
-    values = np.zeros((n, system.n_slots), dtype=np.complex128)
-    for vtx in system.tree.internal:
-        vtx = int(vtx)
-        drive = np.zeros(n, dtype=np.complex128)
-        for a_slot, w in system.couplings[vtx]:
-            drive += w * values[:, a_slot]
-        if system.couplings[vtx]:
-            integral = np.concatenate(
-                ([0j], np.cumsum(float(dt) * (drive[1:] + drive[:-1]) / 2.0))
+    tree, basis = system.tree, system.basis
+    live = np.flatnonzero(v0vec)
+    # time series of the live slots, one row each, plus a zero row that
+    # every other slot reads: slots that start at zero stay exactly zero
+    row = np.full(system.n_slots, len(live))
+    row[live] = np.arange(len(live))
+    series = np.zeros((len(live) + 1, len(grid)), dtype=np.complex128)
+    live_depth = tree.depth[basis.slot_vertex[live]]
+    for d in np.unique(live_depth):
+        slots = live[live_depth == d]
+        verts, col = np.unique(basis.slot_vertex[slots], return_inverse=True)
+        drive = np.zeros((len(verts), len(grid)), dtype=np.complex128)
+        for anc, w in zip(system.anc_slot[:, verts], system.weight[:, verts]):
+            drive += w[:, None] * series[row[anc]]
+        integral = np.concatenate((np.zeros((len(verts), 1)), np.cumsum(
+            float(dt) * (drive[:, 1:] + drive[:, :-1]) / 2.0, axis=1
+        )), axis=1)
+        block = np.exp(-system.eta[verts][:, None] * grid - integral)
+        series[row[slots]] = solved = v0vec[slots][:, None] * block[col]
+        blown = np.abs(solved).max(axis=1) > BLOWUP_LIMIT
+        if blown.any():
+            raise SolverAbort(
+                f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} "
+                f"at slot {basis.labels[slots[np.argmax(blown)]]!r}"
             )
-        else:
-            integral = 0.0
-        decay = system.eta_by_vertex[vtx]
-        block = None
-        for j in range(system.tree.n_children(vtx) - 1):
-            s = system.basis.slot_index[(vtx, j)]
-            z0 = v0vec[s]
-            if z0 == 0:
-                continue
-            if block is None:
-                block = np.exp(-decay * grid - integral)
-            values[:, s] = z0 * block
-            if np.abs(values[:, s]).max() > BLOWUP_LIMIT:
-                raise SolverAbort(
-                    f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} "
-                    f"at slot {system.basis.labels[s]!r}"
-                )
-    return Trajectory(
-        grid=grid,
-        slots=system.slots,
-        labels=system.labels,
-        depths=_slot_depths(system),
-        values=values,
-        metadata={"solver": "recurrent", "dt": float(dt), "t_end": float(t_end)},
+    values = np.zeros((len(grid), system.n_slots), dtype=np.complex128)
+    values[:, live] = series[:-1].T
+    return _coefficient_trajectory(
+        basis, grid, values, _metadata("recurrent", t_end, dt)
     )
 
 
@@ -323,6 +328,21 @@ def _integrate(
     return values, max_est
 
 
+def _coefficient_rhs(system: CascadeSystem) -> Callable:
+    """dv/dt on slot vectors: one (K, N) gather-sum per call, O(N * K)."""
+    vertex = system.basis.slot_vertex
+    eta = system.eta[vertex]
+    anc_slot = np.ascontiguousarray(system.anc_slot[:, vertex])
+    weight = np.ascontiguousarray(system.weight[:, vertex])
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        drive = y.take(anc_slot)
+        drive *= weight
+        return -y * (eta + drive.sum(axis=0))
+
+    return rhs
+
+
 def solve_rk(
     system: CascadeSystem,
     v0: WaveletField,
@@ -332,30 +352,14 @@ def solve_rk(
     """Integrate the coefficient system with a fixed-step 4th-order method.
 
     Generic cross-check path for ``solve_recurrent``: no use is made of
-    the triangular structure beyond assembling the right-hand side
-    dv/dt = -v (eta + couplings @ v).
+    the triangular structure beyond assembling the right-hand side.
     """
     grid = time_grid(t_end, dt)
     v0vec = _check_initial(system, v0)
-    eta = system.slot_eta()
-    W = system.coupling_matrix()
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return -y * (eta + W @ y)
-
-    values, max_est = _integrate(rhs, v0vec, grid, float(dt))
-    return Trajectory(
-        grid=grid,
-        slots=system.slots,
-        labels=system.labels,
-        depths=_slot_depths(system),
-        values=values,
-        metadata={
-            "solver": "rk",
-            "dt": float(dt),
-            "t_end": float(t_end),
-            "max_step_error": max_est,
-        },
+    values, max_est = _integrate(_coefficient_rhs(system), v0vec, grid, float(dt))
+    return _coefficient_trajectory(
+        system.basis, grid, values,
+        _metadata("rk", t_end, dt, max_step_error=max_est),
     )
 
 
@@ -385,9 +389,8 @@ def _leaf_sweep(
     it is applied to g = f - f[0]: a constant field gives g == 0 and an
     exact zero.  No wavelet or closed form is used.
     """
-    for kern in (interaction, dissipation):
-        if kern.tree is not tree and kern.tree != tree:
-            raise ValueError("kernels must live on the field's tree")
+    check_same_tree(tree, interaction, dissipation,
+                    message="kernels must live on the field's tree")
     if tree.n_leaves > max_leaves:
         raise ValueError(
             f"tree has {tree.n_leaves} leaves, above the leaf-route cap of "
@@ -443,8 +446,7 @@ def leaf_rhs(
     give an exact zero.  The dense ``interaction_integral_direct`` and
     ``apply_pdo_direct`` are its test oracles.
     """
-    if f.tree is not tree and f.tree != tree:
-        raise ValueError("field lives on a different tree")
+    check_same_tree(tree, f, message="field lives on a different tree")
     return LeafField(
         tree, _leaf_sweep(tree, interaction, dissipation, max_leaves)(f.values)
     )
@@ -468,8 +470,7 @@ def solve_leaf(
     ``leaf_rhs``), O(V + L * depth); trees above ``max_leaves`` leaves are
     refused.
     """
-    if f0.tree is not tree and f0.tree != tree:
-        raise ValueError("initial field lives on a different tree")
+    check_same_tree(tree, f0, message="initial field lives on a different tree")
     if not f0.is_mean_zero():
         raise ValueError(
             f"initial leaf field has mean {f0.mean():.3e}; "
@@ -485,15 +486,7 @@ def solve_leaf(
 
     values, max_est = _integrate(rhs, f0.values.copy(), grid, float(dt))
     return LeafTrajectory(
-        grid=grid,
-        tree=tree,
-        values=values,
-        metadata={
-            "solver": "leaf",
-            "dt": float(dt),
-            "t_end": float(t_end),
-            "max_step_error": max_est,
-        },
+        grid, tree, values, _metadata("leaf", t_end, dt, max_step_error=max_est)
     )
 
 
@@ -502,18 +495,12 @@ def analyze_trajectory(
 ) -> Trajectory:
     """Project every snapshot of a leaf trajectory onto the wavelet basis."""
     tree = basis.tree
-    if leaf_traj.tree is not tree and leaf_traj.tree != tree:
-        raise ValueError("trajectory and basis belong to different trees")
+    check_same_tree(tree, leaf_traj,
+                    message="trajectory and basis belong to different trees")
     nu = tree.measure[tree.leaves]
     coeffs = (leaf_traj.values * nu) @ basis.matrix.conj().T
-    depths = np.array([tree.depth[v] for v, _ in basis.slots])
-    return Trajectory(
-        grid=leaf_traj.grid,
-        slots=basis.slots,
-        labels=basis.labels,
-        depths=depths,
-        values=coeffs,
-        metadata=dict(leaf_traj.metadata),
+    return _coefficient_trajectory(
+        basis, leaf_traj.grid, coeffs, dict(leaf_traj.metadata)
     )
 
 
@@ -558,10 +545,5 @@ def energy_by_level(traj: Trajectory) -> np.ndarray:
     levels = np.unique(depths)
     power = np.abs(traj.values) ** 2
     energy = np.stack([power[:, depths == d].sum(axis=1) for d in levels], axis=1)
-    rows = np.empty((len(traj.grid) * len(levels), 3), dtype=np.float64)
-    idx = 0
-    for i, t in enumerate(traj.grid):
-        for k, d in enumerate(levels):
-            rows[idx] = (t, float(d), energy[i, k])
-            idx += 1
-    return rows
+    t, d = np.meshgrid(traj.grid, levels.astype(np.float64), indexing="ij")
+    return np.stack((t, d, energy), axis=-1).reshape(-1, 3)

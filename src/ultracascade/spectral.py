@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tree import BallTree
+from .tree import BallTree, check_same_tree
 from .wavelets import LeafField
 
 __all__ = [
@@ -156,25 +156,27 @@ def interaction_coefficient(kernel: Kernel, outer: int, inner: int) -> complex:
     return complex(total)
 
 
-def interaction_table(kernel: Kernel) -> dict[tuple[int, int], complex]:
-    """Coupling coefficients for every strict (ancestor, descendant) pair.
+def interaction_table(kernel: Kernel) -> np.ndarray:
+    """Coupling coefficients of every vertex with each strict ancestor.
 
-    Keys are (outer vertex, inner vertex).  Values accumulate up each
-    root path exactly as in ``interaction_coefficient``, so entries agree
-    with it bit for bit.
+    (V, D), aligned with ``tree.root_path_table()``: entry [v, j] couples
+    v with the parent of path vertex [v, j]; entries with j >= depth(v)
+    are padding and hold 0.  Rows are cumulative sums up the root path in
+    the order of ``interaction_coefficient``, so entries match it bit for
+    bit.
     """
     tree = kernel.tree
-    table: dict[tuple[int, int], complex] = {}
-    for desc in range(1, tree.n_vertices):
-        total = 0j
-        cur = desc
-        while tree.parent[cur] != -1:
-            par = int(tree.parent[cur])
-            total += tree.measure[cur] ** 2 * (
-                kernel.values[par] - kernel.values[cur]
-            )
-            table[(par, desc)] = complex(total)
-            cur = par
+    paths = tree.root_path_table()
+    up = np.maximum(tree.parent, 0)[paths]
+    # float_power is libm pow, as the scalar ``** 2`` above; on arrays
+    # ``** 2`` is x * x, which can differ in the last bit
+    terms = np.float_power(tree.measure[paths], 2) * (
+        kernel.values[up] - kernel.values[paths]
+    )
+    # summed from 0j like the scalar loop, which turns a -0 into +0
+    zero = np.zeros((tree.n_vertices, 1))
+    table = np.cumsum(np.hstack((zero, terms)), axis=1)[:, 1:]
+    table[np.arange(paths.shape[1]) >= tree.depth[:, None]] = 0
     return table
 
 
@@ -187,8 +189,7 @@ def apply_pdo_direct(kernel: Kernel, f: LeafField) -> LeafField:
     because every summand carries the factor ``f(a) - f(b)``.
     """
     tree = kernel.tree
-    if f.tree is not tree and f.tree != tree:
-        raise ValueError("kernel and field belong to different trees")
+    check_same_tree(tree, f, message="kernel and field belong to different trees")
     K = kernel.values[tree.leaf_sup_table()]
     diff = f.values[:, None] - f.values[None, :]
     nu = f.leaf_measures
@@ -218,9 +219,8 @@ def interaction_integral_direct(
     ``max_leaves`` are refused.
     """
     tree = kernel.tree
-    for g in (phi, psi):
-        if g.tree is not tree and g.tree != tree:
-            raise ValueError("kernel and fields belong to different trees")
+    check_same_tree(tree, phi, psi,
+                    message="kernel and fields belong to different trees")
     if tree.n_leaves > max_leaves:
         raise ValueError(
             f"tree has {tree.n_leaves} leaves, above the cap of {max_leaves} "

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["BallTree", "build_tree"]
+__all__ = ["BallTree", "build_tree", "check_same_tree"]
 
 DEFAULT_DIAMETER_RATIO = 2.0
 
@@ -139,7 +139,6 @@ class BallTree:
             arr.setflags(write=False)
         self._sup2: np.ndarray | None = None
         self._supv: np.ndarray | None = None
-        self._paths: np.ndarray | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -257,7 +256,7 @@ class BallTree:
             return 0.0
         return float(self.diameter[self.sup(a, b)])
 
-    # -- root-path table (cached; used by the leaf-route tree sweeps) -------
+    # -- root-path table (the leaf-route sweeps and the coefficient layout) --
 
     def root_path_table(self) -> np.ndarray:
         """(V, D) array, D the largest depth: row v lists v and its strict
@@ -265,18 +264,15 @@ class BallTree:
 
         The root never appears on a row, so ``x[table].sum(1)`` sums a
         per-vertex quantity along each root path whenever ``x[0] == 0``.
+        Built afresh on each call, in O(V * D), so no tree keeps one alive.
         """
-        if self._paths is None:
-            n = self.n_vertices
-            up = np.maximum(self.parent, 0).astype(np.intp)
-            cur = np.arange(n, dtype=np.intp)
-            paths = np.zeros((n, int(self.depth.max())), dtype=np.intp)
-            for j in range(paths.shape[1]):
-                paths[:, j] = cur
-                cur = up[cur]
-            paths.setflags(write=False)
-            self._paths = paths
-        return self._paths
+        up = np.maximum(self.parent, 0).astype(np.intp)
+        cur = np.arange(self.n_vertices, dtype=np.intp)
+        paths = np.zeros((self.n_vertices, int(self.depth.max())), dtype=np.intp)
+        for j in range(paths.shape[1]):
+            paths[:, j] = cur
+            cur = up[cur]
+        return paths
 
     # -- sup lookup tables (cached; used by the brute-force oracles) --------
 
@@ -336,6 +332,14 @@ class BallTree:
             f"BallTree(vertices={self.n_vertices}, leaves={self.n_leaves}, "
             f"total_measure={self.total_measure:g})"
         )
+
+
+def check_same_tree(tree: BallTree, *items: Any, message: str) -> None:
+    """Raise ValueError(message) unless every item lives on ``tree``; the
+    structural compare behind the identity test costs O(V)."""
+    for item in items:
+        if item.tree is not tree and item.tree != tree:
+            raise ValueError(message)
 
 
 def build_tree(spec: dict[str, Any]) -> BallTree:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tree import BallTree
+from .tree import BallTree, check_same_tree
 
 __all__ = [
     "WaveletBasis",
@@ -106,8 +106,8 @@ class WaveletBasis:
 
     ``coeffs[I]`` is the (p_I - 1, p_I) complex array whose row j holds the
     constant values of wavelet (I, j) on the children of I.  Slots (I, j)
-    are ordered by vertex preorder, then j; ``matrix`` holds the leaf values
-    of every wavelet as rows in slot order.
+    are ordered by vertex preorder, then j; ``slot_vertex`` holds the vertex
+    of every slot and ``matrix`` the leaf values of every wavelet as rows.
     """
 
     def __init__(self, tree: BallTree, scheme: str,
@@ -122,6 +122,8 @@ class WaveletBasis:
                 slots.append((v, j))
         self.slots = tuple(slots)
         self.slot_index = {s: i for i, s in enumerate(slots)}
+        self.slot_vertex = np.array([v for v, _ in slots], dtype=np.intp)
+        self.slot_vertex.setflags(write=False)
         self.labels = tuple(f"{tree.labels[v]}:{j}" for v, j in slots)
 
         L = tree.n_leaves
@@ -294,8 +296,8 @@ def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
     a constant part would break round trips.  Exactly-zero coefficients are
     omitted from the result.
     """
-    if f.tree is not basis.tree and f.tree != basis.tree:
-        raise ValueError("leaf field and basis belong to different trees")
+    check_same_tree(basis.tree, f,
+                    message="leaf field and basis belong to different trees")
     if not f.is_mean_zero():
         raise ValueError(
             f"leaf field has mean {f.mean():.3e}, not zero within "

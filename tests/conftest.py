@@ -83,6 +83,18 @@ def nested_pair_closed_form(eta_outer, eta_inner, weight, v_outer0, v_inner0, gr
     return outer, inner
 
 
+def dense_coupling_matrix(system: uc.CascadeSystem) -> np.ndarray:
+    """Dense (slot, slot) weight matrix W built from the padded arrays, so
+    that the coefficient right-hand side is -v * (eta + W @ v).  Padding
+    entries add an exact 0."""
+    vertex = system.basis.slot_vertex
+    W = np.zeros((system.n_slots, system.n_slots), dtype=np.complex128)
+    rows = np.arange(system.n_slots)
+    for anc, w in zip(system.anc_slot[:, vertex], system.weight[:, vertex]):
+        np.add.at(W, (rows, anc), w)
+    return W
+
+
 def depth2_example() -> tuple[uc.BallTree, uc.WaveletBasis, uc.Kernel, uc.Kernel]:
     """Binary depth-2 uniform tree with the bump-at-one-child interaction
     kernel and unit dissipation; the standard small worked setup."""

@@ -132,8 +132,8 @@ def test_nested_pair_closed_forms():
     weight = uc.ancestor_value(
         basis, tree.root, 0, mid
     ) * uc.interaction_coefficient(interaction, tree.root, mid)
-    eta_outer = system.eta_by_vertex[tree.root]
-    eta_inner = system.eta_by_vertex[mid]
+    eta_outer = system.eta[tree.root]
+    eta_inner = system.eta[mid]
 
     def deviation(solver, dt: float) -> float:
         traj = solver(system, v0, 1.0, dt)
@@ -156,11 +156,11 @@ def test_nested_pair_closed_forms():
     free_system = uc.assemble(tree, basis, interaction, free_dis)
     free_traj = uc.solve_rk(free_system, v0, 1.0, 1e-3)
     f_outer, f_inner = nested_pair_closed_form(
-        free_system.eta_by_vertex[tree.root],
-        free_system.eta_by_vertex[mid],
+        free_system.eta[tree.root],
+        free_system.eta[mid],
         weight, 0.6, 0.5, free_traj.grid,
     )
-    assert free_system.eta_by_vertex[tree.root] == 0j
+    assert free_system.eta[tree.root] == 0j
     free_dev = float(
         max(
             np.abs(free_traj.column(tree.root, 0) - f_outer).max(),
@@ -317,8 +317,7 @@ def test_constant_kernel_decoupling():
                         value = uc.interaction_coefficient(kernel, outer, inner)
                         all_zero &= value == 0j
                         checked += 1
-            table = uc.interaction_table(kernel)
-            all_zero &= all(v == 0j for v in table.values())
+            all_zero &= bool(np.all(uc.interaction_table(kernel) == 0))
             system = uc.assemble(
                 tree, basis, kernel, dissipative_kernel(tree, rng)
             )

@@ -63,8 +63,15 @@ def test_parse_config_defaults():
          "path, index, real, imag"),
         (lambda c: c.update(initial={"leaves": [["0.0", 1.0]]}),
          "path, real, imag"),
+        (lambda c: c.update(initial={"wavelets": [["0", True, 1, 0]]}),
+         "initial.wavelets records must be"),
         (lambda c: c.update(t_end=0.0), "positive"),
         (lambda c: c.update(dt=-0.1), "positive"),
+        (lambda c: c.update(t_end=float("inf")), "finite"),
+        (lambda c: c.update(dt=float("nan")), "finite"),
+        (lambda c: c.update(t_end=True), "'t_end' must be a positive number"),
+        (lambda c: c.update(dt=True), "'dt' must be a positive number"),
+        (lambda c: c.update(dt=0.3), "does not divide"),
         (lambda c: c.update(outputs={"log": "x.txt"}), "'outputs' keys"),
         (lambda c: c.update(outputs={"trajectory": ""}), "nonempty file name"),
         (lambda c: c.update(oracles={"check_all": True}), "'oracles' keys"),
@@ -310,6 +317,64 @@ def test_cli_validate_ok(scenario_dir, capsys):
     assert "4 leaves over 7 balls" in out
     assert "solver=all" in out
     assert "grid=1000 steps" in out
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_rejects_infinite_t_end_without_traceback(tmp_path, command):
+    raw = minimal_config()
+    raw["t_end"] = float("inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")  # an Infinity literal
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", command, str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len((proc.stdout + proc.stderr).strip().splitlines()) == 1
+    assert "finite" in proc.stdout + proc.stderr
+
+
+def test_cli_validate_rejects_grid_that_run_rejects(tmp_path, capsys):
+    raw = minimal_config()
+    raw["t_end"], raw["dt"] = 1.0, 0.3
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert "does not divide" in capsys.readouterr().out
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_run_refuses_output_name_collisions(
+    tmp_path, scenario_dir, capsys, jobs
+):
+    work = tmp_path / "scenarios"
+    work.mkdir()
+    src = (scenario_dir / "single_wavelet.json").read_bytes()
+    (work / "a.json").write_bytes(src)  # both name the same output files
+    (work / "b.json").write_bytes(src)
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(work), "--out-dir", str(out), "--jobs", jobs])
+    assert rc == 2
+    assert "would overwrite an output of a.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_refuses_outputs_sharing_one_file(tmp_path, capsys):
+    raw = minimal_config()
+    raw["outputs"] = {"trajectory": "same.csv", "energy": "same.csv"}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["run", str(path)]) == 2
+    assert "'same.csv' would overwrite" in capsys.readouterr().err
+    raw["outputs"] = {"summary": "dup.json"}  # the scenario file itself
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["run", str(path)]) == 2
+    assert json.loads(path.read_text(encoding="utf-8")) == raw
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.json"]
 
 
 def test_cli_validate_reports_problem(tmp_path, capsys):

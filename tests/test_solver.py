@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import ultracascade as uc
-from ultracascade.solver import STEP_ERROR_TOL
+from ultracascade.solver import STEP_ERROR_TOL, _coefficient_rhs
 
 from conftest import (
+    dense_coupling_matrix,
     depth2_example,
     dissipative_kernel,
     nested_pair_closed_form,
@@ -41,8 +42,8 @@ def test_assemble_constant_interaction_has_no_couplings():
         tree, basis, uc.Kernel.constant(tree, 2.0 - 0.5j), dissipative_kernel(tree, rng)
     )
     assert system.n_couplings == 0
-    assert all(len(entries) == 0 for entries in system.couplings.values())
-    assert np.all(system.coupling_matrix() == 0)
+    assert np.all(system.weight == 0)
+    assert np.all(dense_coupling_matrix(system) == 0)
 
 
 def test_assemble_depth_one_decay_rate():
@@ -51,28 +52,43 @@ def test_assemble_depth_one_decay_rate():
     dis = uc.Kernel.constant(tree, 3.0 + 1.0j)
     system = uc.assemble(tree, basis, uc.Kernel.constant(tree, 1.0), dis)
     assert system.n_couplings == 0
-    assert system.eta_by_vertex[tree.root] == (3.0 + 1.0j) * 1.0
+    assert system.eta[tree.root] == (3.0 + 1.0j) * 1.0
 
 
 def test_assemble_couplings_match_pairwise_formula():
     rng = np.random.default_rng(223)
-    tree = uc.random_tree(rng, max_leaves=40)
-    basis = uc.build_basis(tree)
-    interaction = uc.random_kernel(tree, rng)
-    system = uc.assemble(tree, basis, interaction, dissipative_kernel(tree, rng))
-    for v in tree.internal:
-        v = int(v)
-        expected = []
-        for anc in tree.ancestors(v):
-            coeff = uc.interaction_coefficient(interaction, anc, v)
-            if coeff == 0:
-                continue
-            for jp in range(tree.n_children(anc) - 1):
-                w = uc.ancestor_value(basis, anc, jp, v) * coeff
-                if w == 0:
-                    continue
-                expected.append((basis.slot_index[(anc, jp)], w))
-        assert system.couplings[v] == tuple(expected)
+    branchings = set()
+    for i in range(8):
+        # odd rounds: complex roots-of-unity wavelets on equal splits
+        tree = uc.random_tree(rng, max_leaves=40, min_branch=2, max_branch=4,
+                              equal_split=bool(i % 2))
+        basis = uc.build_basis(tree, ("gram-schmidt", "roots-of-unity")[i % 2])
+        interaction = uc.random_kernel(tree, rng)
+        system = uc.assemble(
+            tree, basis, interaction, dissipative_kernel(tree, rng)
+        )
+        width = system.weight.shape[0]
+        for v in range(tree.n_vertices):
+            expected = []
+            if tree.is_internal(v):
+                branchings.add(tree.n_children(v))
+                for anc in tree.ancestors(v):
+                    coeff = uc.interaction_coefficient(interaction, anc, v)
+                    for jp in range(tree.n_children(anc) - 1):
+                        w = uc.ancestor_value(basis, anc, jp, v) * coeff
+                        expected.append((basis.slot_index[(anc, jp)], w))
+            pad = [(0, 0j)] * (width - len(expected))
+            got = list(zip(system.anc_slot[:, v].tolist(),
+                           system.weight[:, v].tolist()))
+            # bit for bit, signed zeros included
+            assert [s for s, _ in got] == [s for s, _ in expected + pad]
+            assert np.array_equal(
+                np.array([w for _, w in got], dtype=complex).view(np.float64),
+                np.array([w for _, w in expected + pad], dtype=complex
+                         ).view(np.float64),
+            )
+    # mixed branching exercises padding of different widths
+    assert branchings == {2, 3, 4}
 
 
 def test_coupling_matrix_is_triangular_in_depth():
@@ -82,7 +98,7 @@ def test_coupling_matrix_is_triangular_in_depth():
     system = uc.assemble(
         tree, basis, uc.random_kernel(tree, rng), dissipative_kernel(tree, rng)
     )
-    W = system.coupling_matrix()
+    W = dense_coupling_matrix(system)
     for i, (vi, _) in enumerate(system.slots):
         for a, (va, _) in enumerate(system.slots):
             if W[i, a] != 0:
@@ -104,11 +120,48 @@ def test_recurrent_single_mode_is_exact_exponential():
     system = uc.assemble(tree, basis, interaction, dissipation)
     v0 = uc.WaveletField(basis, {(tree.root, 0): 0.8 - 0.3j})
     traj = uc.solve_recurrent(system, v0, 1.0, 1e-3)
-    eta = system.eta_by_vertex[tree.root]
+    eta = system.eta[tree.root]
     expected = (0.8 - 0.3j) * np.exp(-eta * traj.grid)
     # the root slot has no couplings, so the closed form is reproduced
     # operation for operation
     assert np.array_equal(traj.column(tree.root, 0), expected)
+
+
+def _per_vertex_recurrent(system, v0, t_end, dt):
+    """Reference: the integrating-factor recursion one vertex at a time, in
+    preorder, with scalar weights."""
+    grid = uc.time_grid(t_end, dt)
+    v0vec = v0.dense()
+    values = np.zeros((len(grid), system.n_slots), dtype=complex)
+    for v in system.tree.internal:
+        drive = np.zeros(len(grid), dtype=complex)
+        for a, w in zip(system.anc_slot[:, v], system.weight[:, v]):
+            drive += complex(w) * values[:, a]
+        integral = np.concatenate(
+            ([0j], np.cumsum(float(dt) * (drive[1:] + drive[:-1]) / 2.0))
+        )
+        block = np.exp(-complex(system.eta[v]) * grid - integral)
+        for j in range(system.tree.n_children(v) - 1):
+            s = system.basis.slot_index[(int(v), j)]
+            if v0vec[s] != 0:
+                values[:, s] = v0vec[s] * block
+    return values
+
+
+def test_recurrent_matches_per_vertex_reference_bitwise():
+    rng = np.random.default_rng(233)
+    for _ in range(12):
+        tree = uc.random_tree(rng, max_leaves=60, min_branch=2, max_branch=4)
+        basis = uc.build_basis(tree)
+        system = uc.assemble(
+            tree, basis, uc.random_kernel(tree, rng, max_abs=0.8),
+            dissipative_kernel(tree, rng),
+        )
+        v0 = random_initial(basis, rng, density=float(rng.uniform(0.1, 1.0)))
+        for t_end, dt in ((0.5, 1e-2), (0.02, 1e-2)):
+            traj = uc.solve_recurrent(system, v0, t_end, dt)
+            want = _per_vertex_recurrent(system, v0, t_end, dt)
+            assert traj.values.tobytes() == want.tobytes()
 
 
 def test_zero_initial_stays_exactly_zero_everywhere():
@@ -132,8 +185,8 @@ def test_nested_pair_against_closed_form():
     weight = uc.ancestor_value(basis, tree.root, 0, mid) * uc.interaction_coefficient(
         interaction, tree.root, mid
     )
-    eta_outer = system.eta_by_vertex[tree.root]
-    eta_inner = system.eta_by_vertex[mid]
+    eta_outer = system.eta[tree.root]
+    eta_inner = system.eta[mid]
     grid = uc.time_grid(1.0, 1e-3)
     outer, inner = nested_pair_closed_form(
         eta_outer, eta_inner, weight, 0.6, 0.5, grid
@@ -339,8 +392,8 @@ def test_rk_residual_shrinks_at_second_order():
     system = uc.assemble(tree, basis, interaction, dissipation)
     mid = tree.vertex("0")
     v0 = uc.WaveletField(basis, {(tree.root, 0): 0.6, (mid, 0): 0.5})
-    eta = system.slot_eta()
-    W = system.coupling_matrix()
+    eta = system.eta[basis.slot_vertex]
+    W = dense_coupling_matrix(system)
 
     def residual(dt: float) -> float:
         traj = uc.solve_rk(system, v0, 1.0, dt)
@@ -353,6 +406,25 @@ def test_rk_residual_shrinks_at_second_order():
     r_fine = residual(1e-3)
     slope = np.log2(r_coarse / r_fine)
     assert slope >= 1.9
+
+
+def test_rk_gather_sum_rhs_matches_dense_matrix():
+    rng = np.random.default_rng(277)
+    for _ in range(10):
+        tree = uc.random_tree(rng, max_leaves=60, min_branch=2, max_branch=4)
+        basis = uc.build_basis(tree)
+        system = uc.assemble(
+            tree, basis, uc.random_kernel(tree, rng),
+            dissipative_kernel(tree, rng),
+        )
+        rhs = _coefficient_rhs(system)
+        eta = system.eta[basis.slot_vertex]
+        W = dense_coupling_matrix(system)
+        for _ in range(3):
+            y = random_initial(basis, rng, density=1.0).dense()
+            want = -y * (eta + W @ y)
+            scale = np.abs(y).max() * (np.abs(eta) + np.abs(W) @ np.abs(y)).max()
+            assert np.abs(rhs(y) - want).max() <= 1e-15 * scale
 
 
 def test_solve_all_returns_three_consistent_routes():
