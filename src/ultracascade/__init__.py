@@ -47,6 +47,7 @@ from .spectral import (
     Kernel,
     apply_pdo_direct,
     eigenvalue,
+    eigenvalue_table,
     interaction_coefficient,
     interaction_integral_direct,
     interaction_table,
@@ -76,6 +77,7 @@ __all__ = [
     "ancestor_value",
     "Kernel",
     "eigenvalue",
+    "eigenvalue_table",
     "interaction_coefficient",
     "interaction_table",
     "apply_pdo_direct",

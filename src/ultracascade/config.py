@@ -84,11 +84,16 @@ class ScenarioConfig:
         }
 
 
+def _is_number(x: Any) -> bool:
+    """An int or float; JSON true/false decode to bool, an int subclass."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_pair(value: Any, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or not all(_is_number(x) for x in value)
     ):
         raise ConfigError(f"{where} must be a [real, imag] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
@@ -105,7 +110,7 @@ def _check_kernel_spec(spec: Any, where: str) -> dict:
         if "a" not in spec or "b" not in spec:
             raise ConfigError(f"{where}: power kernel needs 'a' and 'b'")
         _complex_pair(spec["a"], f"{where}.a")
-        if not isinstance(spec["b"], (int, float)):
+        if not _is_number(spec["b"]):
             raise ConfigError(f"{where}.b must be a number")
         for rec in spec.get("overrides", []):
             _check_value_record(rec, f"{where}.overrides")
@@ -130,7 +135,7 @@ def _check_value_record(rec: Any, where: str) -> None:
         not isinstance(rec, (list, tuple))
         or len(rec) != 3
         or not isinstance(rec[0], str)
-        or not all(isinstance(x, (int, float)) for x in rec[1:])
+        or not all(_is_number(x) for x in rec[1:])
     ):
         raise ConfigError(
             f"{where} records must be [path, real, imag], got {rec!r}"
@@ -183,7 +188,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
                 or len(rec) != 4
                 or not isinstance(rec[0], str)
                 or not isinstance(rec[1], int) or isinstance(rec[1], bool)
-                or not all(isinstance(x, (int, float)) for x in rec[2:])
+                or not all(_is_number(x) for x in rec[2:])
             ):
                 raise ConfigError(
                     "initial.wavelets records must be "
@@ -191,7 +196,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
                 )
 
     for key in ("t_end", "dt"):
-        if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
+        if not _is_number(raw[key]):
             raise ConfigError(f"'{key}' must be a positive number")
     try:
         grid_steps(raw["t_end"], raw["dt"])  # the check time_grid makes

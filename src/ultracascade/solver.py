@@ -11,11 +11,11 @@ without interpolation.
 
 The coefficient routes read one padded array layout (``CascadeSystem``):
 an rk right-hand side is a gather-sum, O(N * K) for N slots and K
-ancestor wavelets per vertex, and the recurrent route makes one numpy
-pass per depth over the vertices that carry a nonzero initial slot.  The
-leaf route evaluates its right-hand side by exact tree sweeps: O(V)
-work per subtree-sum pass and O(L * depth) per root-path pass, V the
-vertex and L the leaf count.  The dense O(L^2) quadrature routines of
+ancestor wavelets per vertex, and the recurrent route makes bounded
+numpy passes per depth over the vertices that carry a nonzero initial
+slot.  The leaf route evaluates its right-hand side by exact tree
+sweeps: O(V) work per subtree-sum pass and O(L * depth) per root-path
+pass, V the vertex and L the leaf count.  The dense O(L^2) quadrature routines of
 ``spectral`` are test oracles only; no solver calls them.
 """
 
@@ -26,7 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import DEFAULT_LEAF_CAP, Kernel, eigenvalue, interaction_table
+from .spectral import (
+    DEFAULT_LEAF_CAP,
+    Kernel,
+    eigenvalue_table,
+    interaction_table,
+)
 from .tree import BallTree, check_same_tree
 from .wavelets import LeafField, WaveletBasis, WaveletField, analyze, synthesize
 
@@ -50,6 +55,10 @@ __all__ = [
 # one-step integrators reject a step whose halved-step error estimate
 # exceeds this; it signals that dt is too coarse for the problem
 STEP_ERROR_TOL = 1e-3
+
+# vertices x time steps that one pass of solve_recurrent solves at once:
+# bounds its temporaries to a few times this many complex numbers
+RECURRENT_BLOCK = 1 << 12
 
 # diagnostic abort threshold; the triangular structure keeps solutions
 # bounded on finite trees, so reaching this means the setup is off
@@ -107,18 +116,16 @@ def assemble(
 ) -> CascadeSystem:
     """Build the coefficient system for a tree, basis, and kernel pair.
 
-    Decay rates come from ``eigenvalue`` of the dissipation kernel.  The
-    weights pair the root-path coefficients of ``interaction_table`` with
-    the value of each ancestor wavelet on the child toward the vertex,
-    all gathered at once along ``tree.root_path_table()``.  A constant
+    Decay rates come from ``eigenvalue_table`` of the dissipation kernel.
+    The weights pair the root-path coefficients of ``interaction_table``
+    with the value of each ancestor wavelet on the child toward the
+    vertex, all gathered at once along ``tree.root_path_table()``.  A constant
     interaction kernel gives all-zero weights: no couplings at all.
     """
     check_same_tree(tree, interaction, dissipation, basis,
                     message="kernels and basis must live on the system's tree")
     internal = tree.internal
-    eta = np.zeros(tree.n_vertices, dtype=np.complex128)
-    eta[internal] = [eigenvalue(dissipation, int(v)) for v in internal]
-
+    eta = eigenvalue_table(dissipation)
     paths = tree.root_path_table()[internal]
     anc = np.maximum(tree.parent, 0)[paths]
     n_wavelets = np.bincount(basis.slot_vertex, minlength=tree.n_vertices)
@@ -237,38 +244,47 @@ def solve_recurrent(
     is taken by cumulative trapezoid on the shared grid, making this
     solver second-order in dt when couplings are active and exact (up to
     rounding) when they are not.  Slots that start at zero stay exactly
-    zero, so each depth is one numpy pass over only the vertices that
-    carry a nonzero initial slot.
+    zero, so each depth is solved by numpy passes over only the vertices
+    that carry a nonzero initial slot, at most ``RECURRENT_BLOCK``
+    vertex-steps per pass: the temporaries stay bounded, and every value
+    is the one a single pass per depth would give.
     """
     grid = time_grid(t_end, dt)
     v0vec = _check_initial(system, v0)
     tree, basis = system.tree, system.basis
+    vertex = basis.slot_vertex
+    values = np.zeros((len(grid), system.n_slots), dtype=np.complex128)
     live = np.flatnonzero(v0vec)
-    # time series of the live slots, one row each, plus a zero row that
-    # every other slot reads: slots that start at zero stay exactly zero
-    row = np.full(system.n_slots, len(live))
-    row[live] = np.arange(len(live))
-    series = np.zeros((len(live) + 1, len(grid)), dtype=np.complex128)
-    live_depth = tree.depth[basis.slot_vertex[live]]
+    live_depth = tree.depth[vertex[live]]
+    per_pass = max(1, RECURRENT_BLOCK // len(grid))
     for d in np.unique(live_depth):
         slots = live[live_depth == d]
-        verts, col = np.unique(basis.slot_vertex[slots], return_inverse=True)
-        drive = np.zeros((len(verts), len(grid)), dtype=np.complex128)
-        for anc, w in zip(system.anc_slot[:, verts], system.weight[:, verts]):
-            drive += w[:, None] * series[row[anc]]
-        integral = np.concatenate((np.zeros((len(verts), 1)), np.cumsum(
-            float(dt) * (drive[:, 1:] + drive[:, :-1]) / 2.0, axis=1
-        )), axis=1)
-        block = np.exp(-system.eta[verts][:, None] * grid - integral)
-        series[row[slots]] = solved = v0vec[slots][:, None] * block[col]
-        blown = np.abs(solved).max(axis=1) > BLOWUP_LIMIT
-        if blown.any():
-            raise SolverAbort(
-                f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} "
-                f"at slot {basis.labels[slots[np.argmax(blown)]]!r}"
+        verts, first, col = np.unique(
+            vertex[slots], return_index=True, return_inverse=True
+        )
+        # slots run in vertex order, so verts[lo:hi] own the slots
+        # slots[first[lo]:first[hi]]
+        first = np.append(first, len(slots))
+        for lo in range(0, len(verts), per_pass):
+            hi = min(lo + per_pass, len(verts))
+            block, part = verts[lo:hi], slice(first[lo], first[hi])
+            drive = np.zeros((len(grid), len(block)), dtype=np.complex128)
+            for anc, w in zip(system.anc_slot[:, block],
+                              system.weight[:, block]):
+                drive += w * values[:, anc]
+            integral = np.concatenate((np.zeros((1, len(block))), np.cumsum(
+                float(dt) * (drive[1:] + drive[:-1]) / 2.0, axis=0
+            )), axis=0)
+            factor = np.exp(-system.eta[block] * grid[:, None] - integral)
+            values[:, slots[part]] = solved = (
+                v0vec[slots[part]] * factor[:, col[part] - lo]
             )
-    values = np.zeros((len(grid), system.n_slots), dtype=np.complex128)
-    values[:, live] = series[:-1].T
+            blown = np.abs(solved).max(axis=0) > BLOWUP_LIMIT
+            if blown.any():
+                raise SolverAbort(
+                    f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} "
+                    f"at slot {basis.labels[slots[part][np.argmax(blown)]]!r}"
+                )
     return _coefficient_trajectory(
         basis, grid, values, _metadata("recurrent", t_end, dt)
     )

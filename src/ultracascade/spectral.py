@@ -30,6 +30,7 @@ from .wavelets import LeafField
 __all__ = [
     "Kernel",
     "eigenvalue",
+    "eigenvalue_table",
     "interaction_coefficient",
     "interaction_table",
     "apply_pdo_direct",
@@ -129,6 +130,27 @@ def eigenvalue(kernel: Kernel, I: int) -> complex:
     for J in tree.ancestors(I):
         total += kernel.values[J] * (tree.measure[J] - tree.measure_toward(J, I))
     return complex(total)
+
+
+def eigenvalue_table(kernel: Kernel) -> np.ndarray:
+    """``eigenvalue`` at every internal ball at once, 0 on leaves.
+
+    One pass along ``tree.root_path_table()``: row v starts with value(v)
+    nu(v) and adds the ancestor terms in the order of the scalar loop,
+    parent to root, so a running sum read at column depth(v) matches
+    ``eigenvalue`` bit for bit.  Padding terms come after that column and
+    never reach it.
+    """
+    tree = kernel.tree
+    paths = tree.root_path_table()
+    up = np.maximum(tree.parent, 0)[paths]
+    v = kernel.values
+    terms = np.empty((tree.n_vertices, paths.shape[1] + 1), dtype=np.complex128)
+    terms[:, 0] = v * tree.measure
+    terms[:, 1:] = v[up] * (tree.measure[up] - tree.measure[paths])
+    table = np.cumsum(terms, axis=1)[np.arange(tree.n_vertices), tree.depth]
+    table[tree.leaves] = 0
+    return table
 
 
 def interaction_coefficient(kernel: Kernel, outer: int, inner: int) -> complex:

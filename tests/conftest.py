@@ -95,6 +95,35 @@ def dense_coupling_matrix(system: uc.CascadeSystem) -> np.ndarray:
     return W
 
 
+def _reference_fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_write_trajectory_csv(path: Path, traj: uc.Trajectory) -> None:
+    """The CSV writers' reference: one ``format`` call per number."""
+    order = sorted(range(len(traj.labels)), key=lambda i: traj.labels[i])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(
+            "t" + "".join(
+                f",{traj.labels[i]}.re,{traj.labels[i]}.im" for i in order
+            ) + "\n"
+        )
+        for k in range(len(traj.grid)):
+            parts = [_reference_fmt(traj.grid[k])]
+            for i in order:
+                z = traj.values[k, i]
+                parts.append(_reference_fmt(z.real))
+                parts.append(_reference_fmt(z.imag))
+            fh.write(",".join(parts) + "\n")
+
+
+def reference_write_energy_csv(path: Path, rows: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t,depth,energy\n")
+        for t, depth, energy in rows:
+            fh.write(f"{_reference_fmt(t)},{int(depth)},{_reference_fmt(energy)}\n")
+
+
 def depth2_example() -> tuple[uc.BallTree, uc.WaveletBasis, uc.Kernel, uc.Kernel]:
     """Binary depth-2 uniform tree with the bump-at-one-child interaction
     kernel and unit dissipation; the standard small worked setup."""

@@ -65,6 +65,20 @@ def test_parse_config_defaults():
          "path, real, imag"),
         (lambda c: c.update(initial={"wavelets": [["0", True, 1, 0]]}),
          "initial.wavelets records must be"),
+        (lambda c: c["interaction"].update(a=[True, 0.0]),
+         r"interaction\.a must be a \[real, imag\] pair"),
+        (lambda c: c["dissipation"].update(a=[1.0, False]),
+         r"dissipation\.a must be a \[real, imag\] pair"),
+        (lambda c: c["interaction"].update(b=True), r"interaction\.b must be"),
+        (lambda c: c["interaction"].update(overrides=[["0", True, 0.0]]),
+         "overrides records must be"),
+        (lambda c: c.update(dissipation={
+            "type": "table", "entries": [["", 1.0, False]]}),
+         "entries records must be"),
+        (lambda c: c.update(initial={"leaves": [["0.0", True, 0.0]]}),
+         "initial.leaves records must be"),
+        (lambda c: c.update(initial={"wavelets": [["", 0, True, False]]}),
+         r"initial\.wavelets records must be \[path, index"),
         (lambda c: c.update(t_end=0.0), "positive"),
         (lambda c: c.update(dt=-0.1), "positive"),
         (lambda c: c.update(t_end=float("inf")), "finite"),
@@ -179,10 +193,11 @@ def test_build_scenario_rejects_degenerate_tree():
         uc.build_scenario(uc.parse_config(raw))
 
 
-def test_csv_floats_round_trip_exactly():
+def test_csv_floats_round_trip_exactly(tmp_path):
     awkward = [1 / 3, 0.1, 1e-17, 2**-52, 1234567.891011121, 0.0]
-    for x in awkward:
-        assert float(cli._fmt(x)) == x
+    cli.write_energy_csv(tmp_path / "e.csv", np.array([[x, 0, x] for x in awkward]))
+    _header, rows = read_csv_rows(tmp_path / "e.csv")
+    assert [(float(t), float(e)) for t, _d, e in rows] == [(x, x) for x in awkward]
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -333,6 +348,20 @@ def test_cli_rejects_infinite_t_end_without_traceback(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert len((proc.stdout + proc.stderr).strip().splitlines()) == 1
     assert "finite" in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_rejects_boolean_numbers_in_one_line(tmp_path, capsys, command):
+    raw = minimal_config()
+    raw["interaction"]["b"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main([command, str(path), *(["--out-dir", str(tmp_path)]
+                                           if command == "run" else [])]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1 and "interaction.b must be a number" in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bool.json"]
 
 
 def test_cli_validate_rejects_grid_that_run_rejects(tmp_path, capsys):

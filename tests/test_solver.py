@@ -164,6 +164,31 @@ def test_recurrent_matches_per_vertex_reference_bitwise():
             assert traj.values.tobytes() == want.tobytes()
 
 
+def test_recurrent_vertex_blocks_match_one_pass_per_depth(monkeypatch):
+    rng = np.random.default_rng(239)
+    trees = [uc.build_tree({"p": 3, "depth": 4})] + [
+        uc.random_tree(rng, max_leaves=80, min_branch=2, max_branch=4)
+        for _ in range(4)
+    ]
+    steps = 50
+    for tree in trees:
+        basis = uc.build_basis(tree)
+        system = uc.assemble(
+            tree, basis, uc.random_kernel(tree, rng, max_abs=0.8),
+            dissipative_kernel(tree, rng),
+        )
+        v0 = random_initial(basis, rng, density=0.9)
+        monkeypatch.setattr("ultracascade.solver.RECURRENT_BLOCK", 10 ** 9)
+        whole = uc.solve_recurrent(system, v0, steps * 1e-2, 1e-2).values
+        widest = np.bincount(tree.depth[tree.internal]).max()
+        for per_pass in (1, 3):
+            assert per_pass < widest  # some depth takes several passes
+            monkeypatch.setattr("ultracascade.solver.RECURRENT_BLOCK",
+                                per_pass * (steps + 1))
+            blocked = uc.solve_recurrent(system, v0, steps * 1e-2, 1e-2).values
+            assert blocked.tobytes() == whole.tobytes()
+
+
 def test_zero_initial_stays_exactly_zero_everywhere():
     tree, basis, interaction, dissipation = depth2_example()
     system = uc.assemble(tree, basis, interaction, dissipation)

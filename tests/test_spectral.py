@@ -150,6 +150,23 @@ def test_interaction_matches_closed_form():
                 assert abs(got - want) <= 1e-13 * scale
 
 
+def test_eigenvalue_table_matches_scalar_bitwise():
+    rng = np.random.default_rng(131)
+    for _ in range(12):
+        # random leaf measures: children of one ball weigh differently
+        tree = uc.random_tree(rng, max_leaves=80, min_branch=2, max_branch=4)
+        n = tree.n_vertices
+        kernels = [
+            uc.random_kernel(tree, rng),
+            uc.Kernel(tree, rng.normal(size=n) * 1e3 + 1j * rng.normal(size=n)),
+        ]
+        for kernel in kernels:
+            table = uc.eigenvalue_table(kernel)
+            want = np.zeros(n, dtype=np.complex128)
+            want[tree.internal] = [uc.eigenvalue(kernel, v) for v in tree.internal]
+            assert table.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_interaction_table_matches_pointwise_exactly():
     rng = np.random.default_rng(127)
     trees = [uc.random_tree(rng, max_leaves=50) for _ in range(8)]
