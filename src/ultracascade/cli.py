@@ -353,19 +353,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             f"exceeds the direct-sum cap of {DEFAULT_LEAF_CAP})"
         )
 
-    if scen.tree.n_leaves <= DEFAULT_LEAF_CAP:
-        _, disagreement = solve_all(scen.system, scen.v0, cfg.t_end, cfg.dt)
-        ok = disagreement["max"] <= CROSS_SOLVER_TOL
-        all_pass &= ok
-        print(
-            f"solver check: max pairwise disagreement {disagreement['max']:.3e} "
-            f"(tolerance {CROSS_SOLVER_TOL:g}): {'PASS' if ok else 'FAIL'}"
-        )
-    else:
-        print(
-            f"solver check: skipped ({scen.tree.n_leaves} leaves exceeds "
-            f"the direct-sum cap of {DEFAULT_LEAF_CAP})"
-        )
+    _, disagreement = solve_all(scen.system, scen.v0, cfg.t_end, cfg.dt)
+    ok = disagreement["max"] <= CROSS_SOLVER_TOL
+    all_pass &= ok
+    print(
+        f"solver check: max pairwise disagreement {disagreement['max']:.3e} "
+        f"(tolerance {CROSS_SOLVER_TOL:g}): {'PASS' if ok else 'FAIL'}"
+    )
 
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 

@@ -139,7 +139,7 @@ def interaction_check(
             f"tree has {L} leaves, above the sweep cap of {max_leaves}"
         )
     nu = tree.measure[tree.leaves]
-    Psi = basis.matrix
+    Psi = np.array([basis.leaf_values(v, j) for v, j in basis.slots])
     n_slots = basis.n_slots
 
     # inner[s, v] = sum_b value(sup(v, b)) psi_s(b) nu(b)

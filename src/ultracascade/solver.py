@@ -26,12 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import (
-    DEFAULT_LEAF_CAP,
-    Kernel,
-    eigenvalue_table,
-    interaction_table,
-)
+from .spectral import Kernel, eigenvalue_table, interaction_table
 from .tree import BallTree, check_same_tree
 from .wavelets import LeafField, WaveletBasis, WaveletField, analyze, synthesize
 
@@ -136,8 +131,8 @@ def assemble(
         & (np.arange(n_wavelets.max()) < n_wavelets[anc][:, :, None])
     )
     slot = np.searchsorted(basis.slot_vertex, anc[row, pos]) + j
-    # a wavelet is constant on the child toward v: read it at its first leaf
-    value = basis.matrix[slot, tree.leaf_ranges[paths[row, pos], 0]]
+    # a wavelet is constant on the child toward v: its row's entry there
+    value = basis.slot_coeffs[slot, tree.child_slot[paths[row, pos]]]
     cols = internal[row]
     coeff = interaction_table(interaction)[cols, pos]
     k = np.arange(len(row)) - np.searchsorted(row, row)
@@ -383,7 +378,6 @@ def _leaf_sweep(
     tree: BallTree,
     interaction: Kernel,
     dissipation: Kernel,
-    max_leaves: int,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Right-hand side of the field equation on plain leaf-value arrays.
 
@@ -407,11 +401,6 @@ def _leaf_sweep(
     """
     check_same_tree(tree, interaction, dissipation,
                     message="kernels must live on the field's tree")
-    if tree.n_leaves > max_leaves:
-        raise ValueError(
-            f"tree has {tree.n_leaves} leaves, above the leaf-route cap of "
-            f"{max_leaves}; raise max_leaves to force it"
-        )
     nu = tree.measure[tree.leaves]
     start = tree.leaf_ranges[:, 0].astype(np.intp)
     end = tree.leaf_ranges[:, 1].astype(np.intp)
@@ -452,7 +441,6 @@ def leaf_rhs(
     interaction: Kernel,
     dissipation: Kernel,
     f: LeafField,
-    max_leaves: int = DEFAULT_LEAF_CAP,
 ) -> LeafField:
     """Time derivative of the field equation, evaluated exactly on leaves.
 
@@ -464,7 +452,7 @@ def leaf_rhs(
     """
     check_same_tree(tree, f, message="field lives on a different tree")
     return LeafField(
-        tree, _leaf_sweep(tree, interaction, dissipation, max_leaves)(f.values)
+        tree, _leaf_sweep(tree, interaction, dissipation)(f.values)
     )
 
 
@@ -475,7 +463,6 @@ def solve_leaf(
     f0: LeafField,
     t_end: float,
     dt: float,
-    max_leaves: int = DEFAULT_LEAF_CAP,
 ) -> LeafTrajectory:
     """Integrate the field equation directly on leaf values.
 
@@ -483,8 +470,7 @@ def solve_leaf(
     coefficient system.  The initial field must be mean-zero; the
     dynamics are only defined on that subspace, and the mean is conserved
     along solutions.  Each right-hand side is one set of tree sweeps (see
-    ``leaf_rhs``), O(V + L * depth); trees above ``max_leaves`` leaves are
-    refused.
+    ``leaf_rhs``), O(V + L * depth), so no leaf count is refused.
     """
     check_same_tree(tree, f0, message="initial field lives on a different tree")
     if not f0.is_mean_zero():
@@ -493,7 +479,7 @@ def solve_leaf(
             "the cascade dynamics are defined on mean-zero fields only"
         )
     grid = time_grid(t_end, dt)
-    sweep = _leaf_sweep(tree, interaction, dissipation, max_leaves)
+    sweep = _leaf_sweep(tree, interaction, dissipation)
 
     def rhs(y: np.ndarray) -> np.ndarray:
         if not np.isfinite(y).all():
@@ -509,12 +495,11 @@ def solve_leaf(
 def analyze_trajectory(
     leaf_traj: LeafTrajectory, basis: WaveletBasis
 ) -> Trajectory:
-    """Project every snapshot of a leaf trajectory onto the wavelet basis."""
-    tree = basis.tree
-    check_same_tree(tree, leaf_traj,
+    """Project every snapshot of a leaf trajectory onto the wavelet basis,
+    by the analyze sweep on all time rows at once: O(T * V * p)."""
+    check_same_tree(basis.tree, leaf_traj,
                     message="trajectory and basis belong to different trees")
-    nu = tree.measure[tree.leaves]
-    coeffs = (leaf_traj.values * nu) @ basis.matrix.conj().T
+    coeffs = basis.analyze_array(leaf_traj.values)
     return _coefficient_trajectory(
         basis, leaf_traj.grid, coeffs, dict(leaf_traj.metadata)
     )
@@ -525,7 +510,6 @@ def solve_all(
     v0: WaveletField,
     t_end: float,
     dt: float,
-    max_leaves: int = DEFAULT_LEAF_CAP,
 ) -> tuple[dict[str, Trajectory], dict[str, float]]:
     """Run all three solvers on one problem and measure their spread.
 
@@ -538,7 +522,7 @@ def solve_all(
     f0 = synthesize(v0)
     leaf = solve_leaf(
         system.tree, system.interaction, system.dissipation,
-        f0, t_end, dt, max_leaves,
+        f0, t_end, dt,
     )
     leaf_co = analyze_trajectory(leaf, system.basis)
     trajectories = {"recurrent": recurrent, "rk": rk, "leaf": leaf_co}

@@ -38,8 +38,8 @@ __all__ = [
     "DEFAULT_LEAF_CAP",
 ]
 
-# interaction_integral_direct and the leaf route refuse larger trees
-# unless told otherwise
+# the dense oracles (interaction_integral_direct, oracles.interaction_check)
+# refuse larger trees unless told otherwise; no solver has a leaf cap
 DEFAULT_LEAF_CAP = 100
 
 
@@ -79,9 +79,11 @@ class Kernel:
         """value(I) = amplitude * diameter(I)**exponent, plus overrides.
 
         Overrides are (vertex path, real, imag) records replacing the
-        parametric value on the named vertices.
+        parametric value on the named vertices.  An overflow is not
+        warned about: the resulting non-finite value is refused below.
         """
-        values = complex(amplitude) * tree.diameter ** float(exponent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = complex(amplitude) * tree.diameter ** float(exponent)
         if overrides is not None:
             values = values.copy()
             for path, re, im in overrides:

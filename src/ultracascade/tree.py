@@ -12,6 +12,8 @@ derived as the sum over its children, never stored independently.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -370,18 +372,37 @@ def build_tree(spec: dict[str, Any]) -> BallTree:
     )
 
 
+def _spec_number(x: Any, where: str, integer: bool = False) -> float | int:
+    """A number of a tree spec: an integer where one is asked for, else a
+    finite real; JSON true/false decode to bool, an int subclass, and are
+    refused like strings and nulls."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(x, bool) or not isinstance(x, kind):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{where} must be {what}, got {x!r}")
+    if integer:
+        return int(x)
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {x!r}")
+    return value
+
+
 def _build_padic(spec: dict[str, Any]) -> BallTree:
     known = {"p", "depth", "A", "q", "type"}
     extra = set(spec) - known
     if extra:
         raise ValueError(f"unknown shorthand keys: {sorted(extra)}")
-    try:
-        p = int(spec["p"])
-        depth = int(spec["depth"])
-    except KeyError as exc:
-        raise ValueError(f"shorthand tree needs key {exc}") from None
-    total = float(spec.get("A", 1.0))
-    ratio = float(spec.get("q", DEFAULT_DIAMETER_RATIO))
+    missing = {"p", "depth"} - set(spec)
+    if missing:
+        raise ValueError(f"shorthand tree needs key {sorted(missing)[0]!r}")
+    p = _spec_number(spec["p"], "shorthand 'p'", integer=True)
+    depth = _spec_number(spec["depth"], "shorthand 'depth'", integer=True)
+    total = _spec_number(spec.get("A", 1.0), "shorthand 'A'")
+    ratio = _spec_number(spec.get("q", DEFAULT_DIAMETER_RATIO), "shorthand 'q'")
     if p < 2:
         raise ValueError(f"branching must be >= 2, got {p}")
     if depth < 1:
@@ -427,7 +448,8 @@ def _build_explicit(root: Any) -> BallTree:
         children.append([])
         depths.append(d)
         if "diameter" in node:
-            given_diameter[v] = float(node["diameter"])
+            given_diameter[v] = _spec_number(node["diameter"],
+                                             f"diameter of {path!r}")
         has_children = "children" in node
         has_measure = "measure" in node
         if has_children and has_measure:
@@ -441,7 +463,8 @@ def _build_explicit(root: Any) -> BallTree:
                 for m, sub in enumerate(subs)
             ]
         elif has_measure:
-            leaf_measure[v] = float(node["measure"])
+            leaf_measure[v] = _spec_number(node["measure"],
+                                           f"measure of {path!r}")
         else:
             raise ValueError(f"node {path!r} needs 'children' or 'measure'")
         return v

@@ -9,6 +9,15 @@ an orthonormal basis of the mean-zero functions on the leaves.
 Two construction schemes are provided.  The default deterministic
 Gram-Schmidt scheme works for arbitrary child measures; the roots-of-unity
 scheme needs equal child measures and yields the classic complex characters.
+
+A wavelet is constant on every ball below its own, so both transforms are
+exact tree sweeps over the per-slot coefficient rows, with no (slots x
+leaves) matrix: ``analyze`` pairs the conjugate rows with the subtree sums
+of f * nu, summed bottom-up one depth at a time, and ``synthesize`` adds,
+top-down, the piece each ball's wavelets put on every child.  Each is
+O(V * p) per field, for V vertices and branching p, and holds O(V)
+numbers.  A dense (slots x leaves) basis matrix is a test reference only;
+``WaveletBasis.gram_matrix`` stacks one as a small-tree diagnostic.
 """
 
 from __future__ import annotations
@@ -107,7 +116,12 @@ class WaveletBasis:
     ``coeffs[I]`` is the (p_I - 1, p_I) complex array whose row j holds the
     constant values of wavelet (I, j) on the children of I.  Slots (I, j)
     are ordered by vertex preorder, then j; ``slot_vertex`` holds the vertex
-    of every slot and ``matrix`` the leaf values of every wavelet as rows.
+    of every slot.  ``slot_coeffs`` is the (N, p_max) array of those rows,
+    one per slot, zero-padded to the largest branching, and
+    ``slot_children`` the matching child vertices (padding holds the
+    root): wavelet s takes the value ``slot_coeffs[s, m]`` on the ball
+    ``slot_children[s, m]``.  These O(N * p_max) arrays are all the
+    transforms read.
     """
 
     def __init__(self, tree: BallTree, scheme: str,
@@ -123,21 +137,72 @@ class WaveletBasis:
         self.slots = tuple(slots)
         self.slot_index = {s: i for i, s in enumerate(slots)}
         self.slot_vertex = np.array([v for v, _ in slots], dtype=np.intp)
-        self.slot_vertex.setflags(write=False)
         self.labels = tuple(f"{tree.labels[v]}:{j}" for v, j in slots)
 
-        L = tree.n_leaves
-        matrix = np.zeros((len(slots), L), dtype=np.complex128)
-        for i, (v, j) in enumerate(slots):
-            row = coeffs[v][j]
-            for m, child in enumerate(tree.children[v]):
-                matrix[i, tree.leaf_slice(child)] = row[m]
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        p_max = max(len(row) for row in tree.children)
+        self.slot_coeffs = np.zeros((len(slots), p_max), dtype=np.complex128)
+        start = 0
+        for v in tree.internal:
+            block = coeffs[int(v)]
+            self.slot_coeffs[start:start + len(block), :block.shape[1]] = block
+            start += len(block)
+        by_position = np.zeros((tree.n_vertices, p_max), dtype=np.intp)
+        by_position[tree.parent[1:], tree.child_slot[1:]] = np.arange(
+            1, tree.n_vertices
+        )
+        self.slot_children = by_position[self.slot_vertex]
+        for arr in (self.slot_vertex, self.slot_coeffs, self.slot_children):
+            arr.setflags(write=False)
+        # the vertices of each depth 1, 2, ... in preorder, where siblings
+        # sit next to each other, with the start of every sibling run
+        order = np.argsort(tree.depth, kind="stable")
+        self._levels = []
+        for verts in np.split(order, np.cumsum(np.bincount(tree.depth))[:-1])[1:]:
+            parent = tree.parent[verts]
+            starts = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
+            self._levels.append((verts, parent, starts))
 
     @property
     def n_slots(self) -> int:
         return len(self.slots)
+
+    def analyze_array(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of leaf-value rows: (..., L) -> (..., N), unchecked.
+
+        Coefficient s is sum_m conj(slot_coeffs[s, m]) F(child_m), F the
+        subtree sums of values * nu, summed bottom-up one depth at a time
+        so that each rounds over its own leaves only.  The sum runs over
+        child positions: the largest temporary holds one subtree sum per
+        vertex and row.
+        """
+        tree = self.tree
+        sums = np.zeros(values.shape[:-1] + (tree.n_vertices,),
+                        dtype=np.complex128)
+        sums[..., tree.leaves] = values * tree.measure[tree.leaves]
+        for verts, parent, starts in reversed(self._levels):
+            sums[..., parent[starts]] = np.add.reduceat(
+                sums[..., verts], starts, axis=-1
+            )
+        out = np.zeros(values.shape[:-1] + (self.n_slots,), dtype=np.complex128)
+        conj = self.slot_coeffs.conj()
+        for m in range(conj.shape[1]):
+            out += conj[:, m] * sums[..., self.slot_children[:, m]]
+        return out
+
+    def synthesize_array(self, vec: np.ndarray) -> np.ndarray:
+        """Leaf values of a coefficient vector: (N,) -> (L,), unchecked.
+
+        Every non-root ball w gets the piece its parent's wavelets put on
+        it, sum_j v[(parent, j)] c[j, m(w)]; a leaf's value is the sum of
+        the pieces along its root path, accumulated top-down.
+        """
+        tree = self.tree
+        acc = np.zeros(tree.n_vertices, dtype=np.complex128)
+        # padding adds v * 0 to the root's entry, which stays 0
+        np.add.at(acc, self.slot_children, vec[:, None] * self.slot_coeffs)
+        for verts, parent, _ in self._levels:
+            acc[verts] += acc[parent]
+        return acc[tree.leaves]
 
     def slot_label(self, vertex: int, j: int) -> str:
         return self.labels[self.slot_of(vertex, j)]
@@ -151,16 +216,25 @@ class WaveletBasis:
             ) from None
 
     def leaf_values(self, vertex: int, j: int) -> np.ndarray:
-        """Leaf-value vector of one wavelet, in canonical leaf order."""
-        return self.matrix[self.slot_of(vertex, j)]
+        """Leaf-value vector of one wavelet, in canonical leaf order: O(L)."""
+        row = self.slot_coeffs[self.slot_of(vertex, j)]
+        out = np.zeros(self.tree.n_leaves, dtype=np.complex128)
+        for m, child in enumerate(self.tree.children[int(vertex)]):
+            out[self.tree.leaf_slice(child)] = row[m]
+        return out
 
     def as_leaf_field(self, vertex: int, j: int) -> LeafField:
-        return LeafField(self.tree, self.leaf_values(vertex, j).copy())
+        return LeafField(self.tree, self.leaf_values(vertex, j))
 
     def gram_matrix(self) -> np.ndarray:
-        """Pairwise inner products of all wavelets (identity if orthonormal)."""
+        """Pairwise inner products of all wavelets (identity if orthonormal).
+
+        A small-tree diagnostic: it stacks every wavelet's leaf values, so
+        it holds N x L numbers at once.
+        """
+        rows = np.array([self.leaf_values(v, j) for v, j in self.slots])
         nu = self.tree.measure[self.tree.leaves]
-        return (self.matrix * nu) @ self.matrix.conj().T
+        return (rows * nu) @ rows.conj().T
 
     def __repr__(self) -> str:
         return (
@@ -238,18 +312,26 @@ def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
     ``roots-of-unity`` sets ``c[j][m]`` proportional to
     ``exp(2*pi*1j*(j+1)*m/p)`` and requires all children of every internal
     vertex to carry equal measure.
+
+    A block depends only on the child measures, so vertices whose child
+    measures agree to the last bit share one read-only block.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown basis scheme {scheme!r}; use one of {SCHEMES}")
     coeffs: dict[int, np.ndarray] = {}
+    blocks: dict[bytes, np.ndarray] = {}
     for v in tree.internal:
         v = int(v)
-        nu = tree.measure[[int(c) for c in tree.children[v]]]
-        if scheme == "gram-schmidt":
-            block = _gram_schmidt_block(nu)
-        else:
-            block = _roots_of_unity_block(nu, tree.labels[v])
-        block.setflags(write=False)
+        nu = tree.measure[list(tree.children[v])]
+        key = nu.tobytes()
+        block = blocks.get(key)
+        if block is None:
+            if scheme == "gram-schmidt":
+                block = _gram_schmidt_block(nu)
+            else:
+                block = _roots_of_unity_block(nu, tree.labels[v])
+            block.setflags(write=False)
+            blocks[key] = block
         coeffs[v] = block
     return WaveletBasis(tree, scheme, coeffs)
 
@@ -304,8 +386,7 @@ def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
             f"{MEAN_ZERO_RTOL:g} of its norm; only mean-zero fields expand "
             "over wavelets"
         )
-    nu = f.leaf_measures
-    vec = basis.matrix.conj() @ (f.values * nu)
+    vec = basis.analyze_array(f.values)
     data = {
         slot: complex(z)
         for slot, z in zip(basis.slots, vec)
@@ -316,7 +397,7 @@ def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
 
 def synthesize(v: WaveletField) -> LeafField:
     """Sum the wavelet expansion back into leaf values."""
-    return LeafField(v.basis.tree, v.dense() @ v.basis.matrix)
+    return LeafField(v.basis.tree, v.basis.synthesize_array(v.dense()))
 
 
 def ancestor_value(basis: WaveletBasis, J: int, j: int, I: int) -> complex:

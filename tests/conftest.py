@@ -95,6 +95,20 @@ def dense_coupling_matrix(system: uc.CascadeSystem) -> np.ndarray:
     return W
 
 
+def dense_basis_matrix(basis: uc.WaveletBasis) -> np.ndarray:
+    """Dense (slot, leaf) matrix whose rows are the wavelets' leaf values,
+    written straight from ``coeffs`` and the leaf slices of the children:
+    the transforms' reference (analyze is conj(M) @ (f * nu), synthesize
+    v @ M)."""
+    tree = basis.tree
+    matrix = np.zeros((basis.n_slots, tree.n_leaves), dtype=np.complex128)
+    for i, (v, j) in enumerate(basis.slots):
+        row = basis.coeffs[v][j]
+        for m, child in enumerate(tree.children[v]):
+            matrix[i, tree.leaf_slice(child)] = row[m]
+    return matrix
+
+
 def _reference_fmt(x: float) -> str:
     return format(float(x), ".17g")
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ultracascade as uc
 from ultracascade import cli
@@ -350,6 +352,22 @@ def test_cli_rejects_infinite_t_end_without_traceback(tmp_path, command):
     assert "finite" in proc.stdout + proc.stderr
 
 
+def test_cli_rejects_overflowing_kernel_in_one_line(tmp_path):
+    """An exponent that overflows the power kernel is one error line; no
+    numpy warning reaches stderr."""
+    raw = minimal_config()
+    raw["interaction"]["b"] = -1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", "validate", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == "invalid: kernel values must be finite"
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_cli_rejects_boolean_numbers_in_one_line(tmp_path, capsys, command):
     raw = minimal_config()
@@ -362,6 +380,89 @@ def test_cli_rejects_boolean_numbers_in_one_line(tmp_path, capsys, command):
     lines = (captured.out + captured.err).strip().splitlines()
     assert len(lines) == 1 and "interaction.b must be a number" in lines[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bool.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ({"p": None, "depth": 2}, "'p' must be an integer"),
+        ({"p": 2, "depth": [2]}, "'depth' must be an integer"),
+        ({"children": [{"measure": None}, {"measure": 1.0}]},
+         "measure of '0' must be a finite number"),
+        ({"p": "3", "depth": 2}, "'p' must be an integer"),
+        ({"p": 2.9, "depth": 2}, "'p' must be an integer"),
+        ({"p": 2, "depth": True}, "'depth' must be an integer"),
+        ({"p": 2, "depth": 2, "A": True}, "'A' must be a finite number"),
+        ({"p": 2, "depth": 2, "q": float("nan")}, "'q' must be a finite number"),
+        ({"children": [{"measure": 1.0, "diameter": 0.5},
+                       {"measure": 1.0, "diameter": True}], "diameter": 1.0},
+         "diameter of '1' must be a finite number"),
+    ],
+    ids=["p-null", "depth-list", "measure-null", "p-string", "p-float",
+         "depth-bool", "A-bool", "q-nan", "diameter-bool"],
+)
+def test_cli_rejects_malformed_tree_numbers_in_one_line(
+    tmp_path, capsys, command, tree, message
+):
+    raw = minimal_config()
+    raw["tree"] = tree
+    raw["initial"] = {"wavelets": []}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main([command, str(path), *(["--out-dir", str(tmp_path)]
+                                           if command == "run" else [])]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.json"]
+
+
+def _key_paths(node, prefix=()):
+    """Every (container path, key or index) inside a decoded config."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix, key
+        yield from _key_paths(value, prefix + (key,))
+
+
+FUZZ_VALUES = [None, True, False, float("nan"), float("inf"), -float("inf"),
+               "x", "", [], {}, [1.0], {"p": 2}, 0, -1, 3, 0.5, -2.5, -1e308]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_validate_survives_mutated_configs(tmp_path, capsys, scenario_dir,
+                                                data):
+    """One key of a bundled config gets a wrong type, null, NaN/Inf or a
+    bool, or is dropped, or a dict gets an extra key: ``validate`` answers
+    with an exit code and one line, never an uncaught exception, a
+    traceback or a warning."""
+    name = data.draw(st.sampled_from(["single_wavelet.json", "nested_pair.json"]))
+    raw = json.loads((scenario_dir / name).read_text(encoding="utf-8"))
+    where, key = data.draw(st.sampled_from(list(_key_paths(raw))))
+    parent = raw
+    for step in where:
+        parent = parent[step]
+    action = data.draw(st.sampled_from(["replace", "drop", "extra"]))
+    if action == "replace":
+        parent[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    elif action == "drop":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent["unexpected"] = data.draw(st.sampled_from(FUZZ_VALUES))
+    else:
+        parent.append(data.draw(st.sampled_from(FUZZ_VALUES)))
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) in (0, 1, 2, 3)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert len((captured.out + captured.err).strip().splitlines()) == 1
 
 
 def test_cli_validate_rejects_grid_that_run_rejects(tmp_path, capsys):

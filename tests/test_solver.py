@@ -1,5 +1,7 @@
 """Cascade system assembly and the three solver routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,12 +380,43 @@ def test_solve_leaf_rejects_nonzero_mean():
         uc.solve_leaf(tree, kernel, kernel, f0, 1.0, 1e-2)
 
 
-def test_solve_leaf_respects_leaf_cap():
-    tree = uc.build_tree({"p": 2, "depth": 7})
-    kernel = uc.Kernel.constant(tree, 1.0)
-    f0 = uc.LeafField.zero(tree)
-    with pytest.raises(ValueError, match="cap"):
-        uc.solve_leaf(tree, kernel, kernel, f0, 0.1, 1e-2)
+def test_solve_all_runs_above_the_dense_oracle_leaf_cap():
+    """The leaf route and its projection are tree sweeps, so a 1024-leaf
+    tree, ten times the dense oracles' cap, solves and agrees."""
+    rng = np.random.default_rng(1024)
+    tree = uc.build_tree({"p": 2, "depth": 10})
+    assert tree.n_leaves > 10 * uc.DEFAULT_LEAF_CAP
+    basis = uc.build_basis(tree)
+    system = uc.assemble(tree, basis, uc.random_kernel(tree, rng, max_abs=0.8),
+                         dissipative_kernel(tree, rng))
+    v0 = random_initial(basis, rng, density=0.5)
+    trajectories, disagreement = uc.solve_all(system, v0, 0.05, 1e-3)
+    assert len(trajectories["leaf"].grid) == 51
+    assert disagreement["max"] <= uc.CROSS_SOLVER_TOL
+
+
+def test_recurrent_scenario_memory_is_linear_in_the_tree():
+    """No (slots x leaves) array: building a p=2 depth-12 scenario with 10
+    initial slots and solving 10 steps peaks far below the 256 MiB a dense
+    basis matrix alone would take."""
+    cfg = uc.parse_config({
+        "tree": {"p": 2, "depth": 12},
+        "interaction": {"type": "power", "a": [1.0, 0.0], "b": 0.5},
+        "dissipation": {"type": "power", "a": [1.0, 0.0], "b": 0.0},
+        "initial": {"wavelets": [[".".join(["0"] * k), 0, 0.2, 0.0]
+                                 for k in range(10)]},
+        "t_end": 0.01,
+        "dt": 0.001,
+    })
+    tracemalloc.start()
+    try:
+        scen = uc.build_scenario(cfg)
+        uc.solve_recurrent(scen.system, scen.v0, cfg.t_end, cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scen.basis.n_slots * scen.tree.n_leaves * 16 > 255 << 20
+    assert peak < 64 << 20
 
 
 def test_solve_leaf_keeps_mean_zero_along_the_run():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultracascade as uc
+from ultracascade.wavelets import _gram_schmidt_block, _roots_of_unity_block
 
-from conftest import random_mean_zero_field
+from conftest import dense_basis_matrix, random_mean_zero_field
 
 
 def weighted_gram(block: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -246,3 +247,91 @@ def test_single_vertex_block_invariants(measures):
     assert np.abs(block @ nu).max() <= 1e-12 * scale
     gram = weighted_gram(block, nu)
     assert np.abs(gram - np.eye(len(block))).max() <= 1e-11
+
+
+def _sweep_cases(seed: int, count: int):
+    """Seeded random trees, branching 2-4, with a basis under each scheme
+    the tree allows (roots-of-unity needs equal child measures)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        equal_split = i % 2 == 1
+        tree = uc.random_tree(rng, max_leaves=80, min_branch=2, max_branch=4,
+                              equal_split=equal_split)
+        schemes = ("gram-schmidt", "roots-of-unity") if equal_split else (
+            "gram-schmidt",)
+        for scheme in schemes:
+            yield rng, uc.build_basis(tree, scheme)
+
+
+def test_transform_sweeps_match_dense_matrix():
+    """analyze and synthesize equal conj(M) @ (f * nu) and v @ M, M the
+    dense (slot, leaf) matrix, within 1e-15 of the triangle-inequality
+    bound of each output."""
+    for rng, basis in _sweep_cases(733, 24):
+        tree = basis.tree
+        matrix = dense_basis_matrix(basis)
+        nu = tree.measure[tree.leaves]
+        row_bound = np.abs(basis.slot_coeffs).sum(axis=1).max()
+        f = random_mean_zero_field(tree, rng)
+        got = uc.analyze(basis, f).dense()
+        want = matrix.conj() @ (f.values * nu)
+        bound = row_bound * (np.abs(f.values) @ nu)
+        assert np.abs(got - want).max() <= 1e-15 * bound
+
+        vec = rng.normal(size=basis.n_slots) + 1j * rng.normal(size=basis.n_slots)
+        got = uc.synthesize(uc.WaveletField(basis, dict(zip(basis.slots, vec))))
+        want = vec @ matrix
+        bound = np.abs(vec) @ np.abs(basis.slot_coeffs).max(axis=1)
+        assert np.abs(got.values - want).max() <= 1e-15 * bound
+
+
+def test_analyze_trajectory_sweep_matches_dense_matrix():
+    for rng, basis in _sweep_cases(739, 20):
+        tree = basis.tree
+        nu = tree.measure[tree.leaves]
+        rows = np.stack([random_mean_zero_field(tree, rng).values
+                         for _ in range(7)])
+        leaf_traj = uc.LeafTrajectory(np.arange(7.0), tree, rows)
+        got = uc.analyze_trajectory(leaf_traj, basis).values
+        want = (rows * nu) @ dense_basis_matrix(basis).conj().T
+        bound = np.abs(basis.slot_coeffs).sum(axis=1).max() * (np.abs(rows) @ nu)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-15 * bound)
+
+
+def _tree_with_repeated_measures(rng: np.random.Generator) -> uc.BallTree:
+    """Random shape whose leaf measures come from a three-value set, so
+    many vertices share their child measures bit for bit."""
+    def relabel(node: dict) -> dict:
+        if "children" in node:
+            return {"children": [relabel(c) for c in node["children"]]}
+        return {"measure": float(rng.choice([0.25, 0.5, 1.0]))}
+    shape = uc.random_tree(rng, max_leaves=60, min_branch=2, max_branch=4)
+    return uc.build_tree({"root": relabel(shape.to_spec()["root"])})
+
+
+def test_memoized_blocks_equal_fresh_per_vertex_construction():
+    rng = np.random.default_rng(743)
+    trees = [(_tree_with_repeated_measures(rng), "gram-schmidt")
+             for _ in range(6)]
+    trees += [(uc.random_tree(rng, max_leaves=60), "gram-schmidt")
+              for _ in range(4)]
+    for _ in range(6):
+        tree = uc.random_tree(rng, max_leaves=60, equal_split=True)
+        trees += [(tree, "gram-schmidt"), (tree, "roots-of-unity")]
+    trees += [(uc.build_tree({"p": 3, "depth": 4}), s)
+              for s in ("gram-schmidt", "roots-of-unity")]
+    shared = 0
+    for tree, scheme in trees:
+        basis = uc.build_basis(tree, scheme)
+        for v in tree.internal:
+            nu = tree.measure[list(tree.children[v])]
+            fresh = (_gram_schmidt_block(nu) if scheme == "gram-schmidt"
+                     else _roots_of_unity_block(nu, tree.labels[v]))
+            block = basis.coeffs[int(v)]
+            assert block.tobytes() == fresh.tobytes()
+            assert not block.flags.writeable
+        shared += len(tree.internal) - len({id(b) for b in basis.coeffs.values()})
+    assert shared > 0
+    padic = uc.build_basis(uc.build_tree({"p": 2, "depth": 6}))
+    assert len({id(b) for b in padic.coeffs.values()}) == 6
