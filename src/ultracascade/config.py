@@ -8,13 +8,12 @@ flags.  Complex numbers appear as [real, imag] pairs throughout.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .solver import CascadeSystem, assemble, grid_steps
+from .solver import CascadeSystem, assemble, check_trajectory_budget, grid_steps
 from .spectral import Kernel
 from .tree import BallTree, build_tree
 from .wavelets import (
@@ -246,6 +245,8 @@ def load_config(path: Path | str) -> ScenarioConfig:
 
 def config_hash(cfg: ScenarioConfig) -> str:
     """Stable hash of the canonical serialized form."""
+    import hashlib  # imported here: loading OpenSSL costs validate ~5 ms
+
     blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -280,10 +281,16 @@ class Scenario:
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Build every object a run needs; all errors surface as ConfigError."""
+    """Build every object a run needs; all errors surface as ConfigError.
+
+    A shorthand tree over ``tree.MAX_VERTICES`` balls, or a stored
+    trajectory over ``solver.MAX_TRAJECTORY_BYTES``, is refused before
+    either is allocated.
+    """
     try:
-        tree = build_tree(cfg.tree)
+        tree = build_tree(cfg.tree)  # refuses a shorthand tree over budget
         basis = build_basis(tree, cfg.basis)
+        check_trajectory_budget(grid_steps(cfg.t_end, cfg.dt), basis.n_slots)
         interaction = build_kernel(tree, cfg.interaction)
         dissipation = build_kernel(tree, cfg.dissipation)
         kind, records = next(iter(cfg.initial.items()))

@@ -33,6 +33,8 @@ from .tree import BallTree, build_tree
 from .wavelets import WaveletBasis
 
 __all__ = [
+    "leaf_sup_table",
+    "vertex_leaf_sup_table",
     "random_tree",
     "random_kernel",
     "eigen_check",
@@ -46,6 +48,31 @@ __all__ = [
 EIGEN_TOL = 1e-12
 INTERACTION_TOL = 1e-11
 CROSS_SOLVER_TOL = 1e-5
+
+
+def leaf_sup_table(tree: BallTree) -> np.ndarray:
+    """(L, L) array: entry [i, j] is sup of the i-th and j-th leaves.
+
+    Built afresh on each call, O(L^2): every child's leaf block is
+    overwritten by the child, top-down.
+    """
+    L = tree.n_leaves
+    sup2 = np.zeros((L, L), dtype=np.int32)
+    for c in range(1, tree.n_vertices):
+        s, e = tree.leaf_ranges[c]
+        sup2[s:e, s:e] = c
+    return sup2
+
+
+def vertex_leaf_sup_table(tree: BallTree) -> np.ndarray:
+    """(V, L) array: entry [v, j] is sup of vertex v and the j-th leaf."""
+    sup2 = leaf_sup_table(tree)
+    supv = np.empty((tree.n_vertices, tree.n_leaves), dtype=np.int32)
+    for v in range(tree.n_vertices):
+        s, e = tree.leaf_ranges[v]
+        supv[v] = sup2[s]
+        supv[v, s:e] = v
+    return supv
 
 
 def random_tree(
@@ -107,9 +134,10 @@ def eigen_check(kernel: Kernel, basis: WaveletBasis) -> float:
     leaf-pair sum; the eigenvalue side through the ancestor-sum formula.
     """
     worst = 0.0
+    sup = leaf_sup_table(basis.tree)
     for vertex, j in basis.slots:
         f = basis.as_leaf_field(vertex, j)
-        direct = apply_pdo_direct(kernel, f)
+        direct = apply_pdo_direct(kernel, f, sup=sup)
         predicted = eigenvalue(kernel, vertex) * f.values
         worst = max(worst, float(np.abs(direct.values - predicted).max()))
     return worst
@@ -143,10 +171,10 @@ def interaction_check(
     n_slots = basis.n_slots
 
     # inner[s, v] = sum_b value(sup(v, b)) psi_s(b) nu(b)
-    kernel_vl = kernel.values[tree.vertex_leaf_sup_table()]
+    kernel_vl = kernel.values[vertex_leaf_sup_table(tree)]
     inner = (Psi * nu) @ kernel_vl.T
     # S[s, a, c] = sum_b value(sup3(a, b, c)) psi_s(b) nu(b)
-    S = inner[:, tree.leaf_sup_table()]
+    S = inner[:, leaf_sup_table(tree)]
     row = S @ nu
     # direct[p, a, q] = triple sum with phi = wavelet p, psi = wavelet q
     direct = (S.reshape(n_slots * L, L) @ (Psi * nu).T).reshape(

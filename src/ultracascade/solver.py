@@ -38,6 +38,8 @@ __all__ = [
     "assemble",
     "grid_steps",
     "time_grid",
+    "check_trajectory_budget",
+    "MAX_TRAJECTORY_BYTES",
     "solve_recurrent",
     "solve_rk",
     "solve_leaf",
@@ -54,6 +56,10 @@ STEP_ERROR_TOL = 1e-3
 # vertices x time steps that one pass of solve_recurrent solves at once:
 # bounds its temporaries to a few times this many complex numbers
 RECURRENT_BLOCK = 1 << 12
+
+# largest stored trajectory, in bytes of (steps + 1) x columns complex
+# numbers; checked before anything is allocated
+MAX_TRAJECTORY_BYTES = 1 << 30
 
 # diagnostic abort threshold; the triangular structure keeps solutions
 # bounded on finite trees, so reaching this means the setup is off
@@ -162,9 +168,24 @@ def grid_steps(t_end: float, dt: float) -> int:
     return n
 
 
-def time_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, ..., t_end; dt must divide t_end."""
-    return np.arange(grid_steps(t_end, dt) + 1) * float(dt)
+def check_trajectory_budget(steps: int, columns: int) -> None:
+    """Refuse a trajectory of (steps + 1) x columns complex numbers above
+    ``MAX_TRAJECTORY_BYTES``, before anything is allocated."""
+    need = (steps + 1) * columns * 16
+    if need > MAX_TRAJECTORY_BYTES:
+        raise ValueError(
+            f"the trajectory of {steps + 1} times x {columns} slots needs "
+            f"{need / 2**30:.3g} GiB, above the limit of "
+            f"{MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
+        )
+
+
+def time_grid(t_end: float, dt: float, columns: int = 0) -> np.ndarray:
+    """Uniform grid 0, dt, ..., t_end; dt must divide t_end.  With
+    ``columns``, first refuse a trajectory over the budget on that grid."""
+    steps = grid_steps(t_end, dt)
+    check_trajectory_budget(steps, columns)
+    return np.arange(steps + 1) * float(dt)
 
 
 @dataclass
@@ -244,7 +265,7 @@ def solve_recurrent(
     vertex-steps per pass: the temporaries stay bounded, and every value
     is the one a single pass per depth would give.
     """
-    grid = time_grid(t_end, dt)
+    grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
     tree, basis = system.tree, system.basis
     vertex = basis.slot_vertex
@@ -365,7 +386,7 @@ def solve_rk(
     Generic cross-check path for ``solve_recurrent``: no use is made of
     the triangular structure beyond assembling the right-hand side.
     """
-    grid = time_grid(t_end, dt)
+    grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
     values, max_est = _integrate(_coefficient_rhs(system), v0vec, grid, float(dt))
     return _coefficient_trajectory(
@@ -478,7 +499,7 @@ def solve_leaf(
             f"initial leaf field has mean {f0.mean():.3e}; "
             "the cascade dynamics are defined on mean-zero fields only"
         )
-    grid = time_grid(t_end, dt)
+    grid = time_grid(t_end, dt, tree.n_leaves)
     sweep = _leaf_sweep(tree, interaction, dissipation)
 
     def rhs(y: np.ndarray) -> np.ndarray:

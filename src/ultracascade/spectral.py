@@ -96,14 +96,11 @@ class Kernel:
         values = np.full(tree.n_vertices, np.nan, dtype=np.complex128)
         for path, re, im in entries:
             values[tree.vertex(str(path))] = complex(float(re), float(im))
-        missing = [
-            tree.labels[v] for v in range(tree.n_vertices)
-            if np.isnan(values[v].real)
-        ]
-        if missing:
+        missing = np.flatnonzero(np.isnan(values.real))
+        if len(missing):
             raise ValueError(
                 f"kernel table misses {len(missing)} vertices "
-                f"(first: {missing[:3]})"
+                f"(first: {[tree.label(v) for v in missing[:3]]})"
             )
         return cls(tree, values)
 
@@ -126,7 +123,7 @@ def eigenvalue(kernel: Kernel, I: int) -> complex:
     if tree.is_leaf(I):
         raise ValueError(
             f"eigenvalues are attached to internal balls; "
-            f"{tree.labels[int(I)]!r} is a leaf"
+            f"{tree.label(I)!r} is a leaf"
         )
     total = kernel.values[I] * tree.measure[I]
     for J in tree.ancestors(I):
@@ -204,17 +201,23 @@ def interaction_table(kernel: Kernel) -> np.ndarray:
     return table
 
 
-def apply_pdo_direct(kernel: Kernel, f: LeafField) -> LeafField:
+def apply_pdo_direct(
+    kernel: Kernel, f: LeafField, *, sup: np.ndarray | None = None
+) -> LeafField:
     """Apply the kernel's integral operator to a leaf field, by direct sum.
 
     Evaluates ``(Tf)(a) = sum_b value(sup(a, b)) (f(a) - f(b)) nu(b)``
     literally over all leaf pairs.  This is the oracle for ``eigenvalue``:
     no spectral shortcut is taken.  Constant fields map to exact zero
-    because every summand carries the factor ``f(a) - f(b)``.
+    because every summand carries the factor ``f(a) - f(b)``.  A caller
+    that applies many fields passes ``sup``, the tree's
+    ``oracles.leaf_sup_table``, so the O(V + L^2) table is built once.
     """
+    from .oracles import leaf_sup_table  # the dense tables are oracle-only
+
     tree = kernel.tree
     check_same_tree(tree, f, message="kernel and field belong to different trees")
-    K = kernel.values[tree.leaf_sup_table()]
+    K = kernel.values[leaf_sup_table(tree) if sup is None else sup]
     diff = f.values[:, None] - f.values[None, :]
     nu = f.leaf_measures
     return LeafField(tree, np.einsum("ab,ab,b->a", K, diff, nu))
@@ -242,6 +245,8 @@ def interaction_integral_direct(
     The cost grows cubically with the leaf count, so trees larger than
     ``max_leaves`` are refused.
     """
+    from .oracles import leaf_sup_table, vertex_leaf_sup_table
+
     tree = kernel.tree
     check_same_tree(tree, phi, psi,
                     message="kernel and fields belong to different trees")
@@ -253,8 +258,8 @@ def interaction_integral_direct(
     nu = phi.leaf_measures
     # inner contraction over b: S[a, c] = sum_b value(sup3(a,b,c)) phi(b) nu(b);
     # sup3(a,b,c) = sup(sup(a,c), b), so S factors through the sup tables
-    kernel_by_vertex_leaf = kernel.values[tree.vertex_leaf_sup_table()]
+    kernel_by_vertex_leaf = kernel.values[vertex_leaf_sup_table(tree)]
     inner = kernel_by_vertex_leaf @ (phi.values * nu)
-    S = inner[tree.leaf_sup_table()]
+    S = inner[leaf_sup_table(tree)]
     diff = psi.values[None, :] - psi.values[:, None]
     return LeafField(tree, np.einsum("ac,ac,c->a", S, diff, nu))

@@ -8,19 +8,36 @@ into at least two maximal subballs.
 
 Leaf measures are the atomic data; the measure of every interior ball is
 derived as the sum over its children, never stored independently.
+
+A tree is held as preorder arrays.  ``BallTree`` takes the ``parent`` and
+``child_slot`` of every vertex, the leaf measures and the diameters, and
+derives depths (by pointer doubling, O(V log depth) for V vertices),
+measures, leaves and leaf ranges with numpy passes, one per depth level:
+Python loops over the levels only, never over the vertices.
+``build_tree`` fills those arrays by index arithmetic for the shorthand
+p-adic tree and by one walk over an explicit nested spec.  The (V, p_max)
+``child_table`` behind ``vertex(path)`` and the basis is built by numpy
+on first use; the tuple-of-tuples ``children`` and the root-path
+``labels`` cost O(V) Python and are built only when asked for, which
+``build_scenario`` on a shorthand tree never does.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Iterable
 
 import numpy as np
 
-__all__ = ["BallTree", "build_tree", "check_same_tree"]
+__all__ = ["BallTree", "build_tree", "check_same_tree", "MAX_VERTICES"]
 
 DEFAULT_DIAMETER_RATIO = 2.0
+
+# largest shorthand tree build_tree makes, checked before anything is
+# allocated: the complete binary tree of depth 20 has 2**21 - 1 balls
+MAX_VERTICES = 1 << 21
 
 
 class BallTree:
@@ -32,121 +49,162 @@ class BallTree:
     indices joined with ``.``, e.g. ``"0.1.0"``; the root path is the empty
     string.  Instances are immutable after construction and safe to share
     across threads.
+
+    The constructor takes, per vertex: ``parent`` (-1 at the root),
+    ``child_slot`` (position among its siblings, -1 at the root),
+    ``leaf_measure`` (the atomic measure of a leaf, NaN where none is
+    given) and ``diameter``.  Children of a vertex have consecutive slots
+    0, 1, ... and follow each other in preorder.
     """
 
-    def __init__(
-        self,
-        children: Sequence[Sequence[int]],
-        leaf_measure: dict[int, float],
-        diameter: Sequence[float],
-    ):
-        n = len(children)
+    def __init__(self, parent, child_slot, leaf_measure, diameter):
+        parent = np.array(parent, dtype=np.int32)
+        child_slot = np.array(child_slot, dtype=np.int32)
+        n = len(parent)
         if n == 0:
             raise ValueError("tree must have at least one vertex")
-        self.children = tuple(tuple(int(c) for c in row) for row in children)
-
-        parent = np.full(n, -1, dtype=np.int32)
-        child_slot = np.full(n, -1, dtype=np.int32)
-        for v, row in enumerate(self.children):
-            for m, c in enumerate(row):
-                if not (0 <= c < n):
-                    raise ValueError(f"child id {c} out of range")
-                if c != 0 and parent[c] != -1:
-                    raise ValueError(f"vertex {c} has two parents")
-                parent[c] = v
-                child_slot[c] = m
-        if parent[0] != -1:
+        if parent.shape != (n,) or child_slot.shape != (n,):
+            raise ValueError("parent and child_slot arrays must cover every vertex")
+        self.parent = parent
+        self.child_slot = child_slot
+        if parent[0] != -1 or child_slot[0] != -1:
             raise ValueError("root (vertex 0) must not have a parent")
-        if any(parent[v] == -1 for v in range(1, n)):
+        if np.any(parent[1:] == -1):
             raise ValueError("tree is disconnected")
+        if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, n)):
+            raise ValueError("vertices must be numbered in preorder")
 
-        depth = np.zeros(n, dtype=np.int32)
-        labels: list[str] = [""] * n
-        for v in range(1, n):
-            p = parent[v]
-            if p >= v:
+        depth = _depths(parent)
+        branching = np.bincount(parent[1:], minlength=n).astype(np.int32)
+        leaf_measure = np.array(leaf_measure, dtype=np.float64)
+        if leaf_measure.shape != (n,):
+            raise ValueError("leaf measure array must cover every vertex")
+        self._check_regular(branching, leaf_measure)
+
+        # one pass per depth, deepest first: sibling runs are contiguous
+        # in a level's preorder, which the checks below confirm
+        key = depth.astype(np.int16) if depth.max() < 1 << 15 else depth
+        by_depth = np.argsort(key, kind="stable")  # radix sort on int16
+        offsets = np.zeros(int(depth.max()) + 2, dtype=np.intp)
+        np.cumsum(np.bincount(depth), out=offsets[1:])
+        size = np.ones(n, dtype=np.intp)  # vertices in each subtree
+        measure = np.where(branching == 0, leaf_measure, 0.0)
+        for d in range(len(offsets) - 2, 0, -1):
+            verts = by_depth[offsets[d]:offsets[d + 1]]
+            up = parent[verts]
+            first = np.r_[True, up[1:] != up[:-1]]
+            starts = np.flatnonzero(first)
+            counts = np.diff(np.r_[starts, len(verts)])
+            # child m of v is v + 1 + the subtree sizes of children 0..m-1
+            follows = np.r_[0, verts[:-1] + size[verts[:-1]]]
+            slot = np.arange(len(verts)) - np.repeat(starts, counts)
+            if (np.any(verts != np.where(first, up + 1, follows))
+                    or np.any(child_slot[verts] != slot)):
                 raise ValueError("vertices must be numbered in preorder")
-            depth[v] = depth[p] + 1
-            slot = child_slot[v]
-            labels[v] = str(slot) if p == 0 else f"{labels[p]}.{slot}"
+            size[up[starts]] += np.add.reduceat(size[verts], starts)
+            # the reduction of measure[list(row)].sum(), a row per parent
+            for k in np.unique(counts).tolist():
+                run = starts[counts == k]
+                rows = verts[run[:, None] + np.arange(k)]
+                measure[up[run]] = measure[rows].sum(axis=1)
 
-        # Regularity: internal vertices have >= 2 children; leaves carry the
-        # atomic measures.
-        measure = np.zeros(n, dtype=np.float64)
-        for v in range(n - 1, -1, -1):
-            row = self.children[v]
-            if len(row) == 0:
-                if v not in leaf_measure:
-                    raise ValueError(f"leaf {labels[v]!r} has no measure")
-                m = float(leaf_measure[v])
-                if not np.isfinite(m) or m <= 0.0:
-                    raise ValueError(
-                        f"leaf {labels[v]!r} must have positive finite measure, got {m}"
-                    )
-                measure[v] = m
-            else:
-                if len(row) == 1:
-                    raise ValueError(
-                        f"vertex {labels[v]!r} has a single child; every ball "
-                        "must split into at least two maximal subballs"
-                    )
-                if v in leaf_measure:
-                    raise ValueError(
-                        f"internal vertex {labels[v]!r} cannot carry a leaf measure"
-                    )
-                measure[v] = measure[list(row)].sum()
-
-        diameter = np.asarray(diameter, dtype=np.float64)
+        diameter = np.array(diameter, dtype=np.float64)
         if diameter.shape != (n,):
             raise ValueError("diameter array must cover every vertex")
         if not np.all(np.isfinite(diameter)) or np.any(diameter <= 0.0):
             raise ValueError("diameters must be positive and finite")
-        for v in range(1, n):
-            if diameter[v] >= diameter[parent[v]]:
-                raise ValueError(
-                    f"diameter must strictly increase toward the root; "
-                    f"vertex {labels[v]!r} violates this"
-                )
+        flat = np.flatnonzero(diameter[1:] >= diameter[parent[1:]])
+        if len(flat):
+            raise ValueError(
+                f"diameter must strictly increase toward the root; "
+                f"vertex {self.label(int(flat[0]) + 1)!r} violates this"
+            )
 
-        leaves = np.array(
-            [v for v in range(n) if len(self.children[v]) == 0], dtype=np.int32
-        )
-        leaf_pos = np.full(n, -1, dtype=np.int32)
-        leaf_pos[leaves] = np.arange(len(leaves), dtype=np.int32)
-        # Preorder numbering makes each subtree's leaves contiguous.
-        leaf_range = np.zeros((n, 2), dtype=np.int32)
-        for v in range(n - 1, -1, -1):
-            row = self.children[v]
-            if len(row) == 0:
-                leaf_range[v] = (leaf_pos[v], leaf_pos[v] + 1)
-            else:
-                leaf_range[v] = (leaf_range[row[0], 0], leaf_range[row[-1], 1])
-
-        self.parent = parent
-        self.child_slot = child_slot
+        # preorder: the leaves of v are those numbered v .. v + size - 1
+        before = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(branching == 0, out=before[1:])
         self.depth = depth
-        self.labels = tuple(labels)
+        self.branching = branching
         self.measure = measure
         self.diameter = diameter
-        self.leaves = leaves
-        self.internal = np.array(
-            [v for v in range(n) if len(self.children[v]) > 0], dtype=np.int32
-        )
-        self._leaf_range = leaf_range
-        self._by_label = {lab: v for v, lab in enumerate(labels)}
-        if len(self._by_label) != n:
-            raise ValueError("vertex labels are not unique")
-        for arr in (self.parent, self.child_slot, self.depth, self.measure,
-                    self.diameter, self.leaves, self.internal, self._leaf_range):
+        self.leaves = np.flatnonzero(branching == 0).astype(np.int32)
+        self.internal = np.flatnonzero(branching > 0).astype(np.int32)
+        # row v: the [start, end) range of leaf positions in the ball v
+        self.leaf_ranges = np.stack((before[:n], before[np.arange(n) + size]), axis=1)
+        self._by_depth = by_depth
+        self._depth_offsets = offsets
+        for arr in (self.parent, self.child_slot, self.depth, self.branching,
+                    self.measure, self.diameter, self.leaves, self.internal,
+                    self.leaf_ranges, self._by_depth, self._depth_offsets):
             arr.setflags(write=False)
-        self._sup2: np.ndarray | None = None
-        self._supv: np.ndarray | None = None
+
+    def _check_regular(self, branching: np.ndarray, leaf_measure: np.ndarray) -> None:
+        """Internal vertices have >= 2 children; leaves, and only leaves,
+        carry positive finite measures.  Names the highest-numbered vertex
+        that breaks a rule."""
+        leaf = branching == 0
+        given = ~np.isnan(leaf_measure)
+        valid = np.isfinite(leaf_measure) & (leaf_measure > 0.0)
+        broken = np.flatnonzero(
+            np.where(leaf, ~valid, (branching == 1) | given)
+        )
+        if len(broken) == 0:
+            return
+        v = int(broken[-1])
+        label = self.label(v)
+        if leaf[v] and not given[v]:
+            raise ValueError(f"leaf {label!r} has no measure")
+        if leaf[v]:
+            raise ValueError(
+                f"leaf {label!r} must have positive finite measure, "
+                f"got {float(leaf_measure[v])}"
+            )
+        if branching[v] == 1:
+            raise ValueError(
+                f"vertex {label!r} has a single child; every ball "
+                "must split into at least two maximal subballs"
+            )
+        raise ValueError(
+            f"internal vertex {label!r} cannot carry a leaf measure"
+        )
+
+    # -- structure built on first use ----------------------------------------
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Child ids of every vertex in child order: O(V) Python, on first use."""
+        rows: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for v, p in enumerate(self.parent[1:].tolist(), start=1):
+            rows[p].append(v)
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Root path of every vertex: O(V) Python, on first use."""
+        labels = [""] * self.n_vertices
+        pairs = zip(self.parent[1:].tolist(), self.child_slot[1:].tolist())
+        for v, (p, slot) in enumerate(pairs, start=1):
+            labels[v] = str(slot) if p == 0 else f"{labels[p]}.{slot}"
+        return tuple(labels)
+
+    @cached_property
+    def child_table(self) -> np.ndarray:
+        """(V, p_max) array: entry [v, m] is child m of v; entries past the
+        last child hold 0, the root, which is nobody's child."""
+        table = np.zeros((self.n_vertices, int(self.branching.max())), dtype=np.intp)
+        table[self.parent[1:], self.child_slot[1:]] = np.arange(1, self.n_vertices)
+        table.setflags(write=False)
+        return table
+
+    def level(self, d: int) -> np.ndarray:
+        """Vertices at depth ``d``, in preorder: siblings are adjacent."""
+        return self._by_depth[self._depth_offsets[d]:self._depth_offsets[d + 1]]
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
-        return len(self.children)
+        return len(self.parent)
 
     @property
     def n_leaves(self) -> int:
@@ -161,39 +219,59 @@ class BallTree:
         return float(self.measure[0])
 
     def is_leaf(self, v: int) -> bool:
-        return len(self.children[self._check(v)]) == 0
+        return bool(self.branching[self._check(v)] == 0)
 
     def is_internal(self, v: int) -> bool:
         return not self.is_leaf(v)
 
     def n_children(self, v: int) -> int:
-        return len(self.children[self._check(v)])
+        return int(self.branching[self._check(v)])
 
     def label(self, v: int) -> str:
-        return self.labels[self._check(v)]
+        """Root path of ``v``: from ``labels`` once built, else by an
+        O(depth) walk up, so error messages build no label table."""
+        v = self._check(v)
+        if "labels" in self.__dict__:
+            return self.labels[v]
+        steps = []
+        while v:
+            steps.append(str(self.child_slot[v]))
+            v = int(self.parent[v])
+        return ".".join(reversed(steps))
 
     def vertex(self, path: str) -> int:
-        """Vertex id for a root path such as ``"0.1.0"`` ("" is the root)."""
-        try:
-            return self._by_label[path]
-        except KeyError:
-            raise ValueError(f"unknown vertex path {path!r}") from None
+        """Vertex id for a root path such as ``"0.1.0"`` ("" is the root).
+
+        Walks the child table, O(depth).  A step must be a child index
+        as ``str`` writes it, so ``"01"``, ``" 0"`` or ``"+1"`` name no
+        vertex, exactly as they match no label.
+        """
+        if not isinstance(path, str):
+            raise ValueError(f"unknown vertex path {path!r}")
+        v = 0
+        if path:
+            table, steps = self.child_table, self._steps
+            for step in path.split("."):
+                m = steps.get(step)
+                # padding past the last child holds the root
+                v = 0 if m is None else table.item(v, m)
+                if v == 0:
+                    raise ValueError(f"unknown vertex path {path!r}")
+        return v
+
+    @cached_property
+    def _steps(self) -> dict[str, int]:
+        return {str(m): m for m in range(self.child_table.shape[1])}
 
     def leaf_index(self, v: int) -> int:
         """Position of leaf ``v`` in the canonical leaf order."""
         if not self.is_leaf(v):
-            raise ValueError(f"vertex {self.labels[v]!r} is not a leaf")
+            raise ValueError(f"vertex {self.label(v)!r} is not a leaf")
         return int(np.searchsorted(self.leaves, v))
-
-    @property
-    def leaf_ranges(self) -> np.ndarray:
-        """(V, 2) array: row v is the [start, end) range of canonical leaf
-        positions covered by the ball ``v``."""
-        return self._leaf_range
 
     def leaf_slice(self, v: int) -> slice:
         """Range of canonical leaf positions covered by the ball ``v``."""
-        s, e = self._leaf_range[self._check(v)]
+        s, e = self.leaf_ranges[self._check(v)]
         return slice(int(s), int(e))
 
     def _check(self, v: int) -> int:
@@ -238,13 +316,13 @@ class BallTree:
         anc, v = self._check(anc), self._check(v)
         if self.depth[v] <= self.depth[anc]:
             raise ValueError(
-                f"{self.labels[v]!r} is not strictly below {self.labels[anc]!r}"
+                f"{self.label(v)!r} is not strictly below {self.label(anc)!r}"
             )
         while self.depth[v] > self.depth[anc] + 1:
             v = self.parent[v]
         if self.parent[v] != anc:
             raise ValueError(
-                f"{self.labels[v]!r} is not strictly below {self.labels[anc]!r}"
+                f"{self.label(v)!r} is not strictly below {self.label(anc)!r}"
             )
         return int(v)
 
@@ -276,34 +354,6 @@ class BallTree:
             cur = up[cur]
         return paths
 
-    # -- sup lookup tables (cached; used by the brute-force oracles) --------
-
-    def leaf_sup_table(self) -> np.ndarray:
-        """(L, L) array: entry [i, j] is sup of the i-th and j-th leaves."""
-        if self._sup2 is None:
-            L = self.n_leaves
-            sup2 = np.zeros((L, L), dtype=np.int32)
-            for v in self.internal:
-                for c in self.children[v]:
-                    s, e = self._leaf_range[c]
-                    sup2[s:e, s:e] = c
-            sup2.setflags(write=False)
-            self._sup2 = sup2
-        return self._sup2
-
-    def vertex_leaf_sup_table(self) -> np.ndarray:
-        """(V, L) array: entry [v, j] is sup of vertex v and the j-th leaf."""
-        if self._supv is None:
-            sup2 = self.leaf_sup_table()
-            supv = np.empty((self.n_vertices, self.n_leaves), dtype=np.int32)
-            for v in range(self.n_vertices):
-                s, e = self._leaf_range[v]
-                supv[v] = sup2[s]
-                supv[v, s:e] = v
-            supv.setflags(write=False)
-            self._supv = supv
-        return self._supv
-
     # -- serialization ------------------------------------------------------
 
     def to_spec(self) -> dict[str, Any]:
@@ -322,7 +372,8 @@ class BallTree:
         if not isinstance(other, BallTree):
             return NotImplemented
         return (
-            self.children == other.children
+            np.array_equal(self.parent, other.parent)
+            and np.array_equal(self.child_slot, other.child_slot)
             and np.array_equal(self.measure, other.measure)
             and np.array_equal(self.diameter, other.diameter)
         )
@@ -391,6 +442,25 @@ def _spec_number(x: Any, where: str, integer: bool = False) -> float | int:
     return value
 
 
+def _depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of every vertex by pointer doubling, O(V log depth); needs
+    parent[v] < v, so the parent links hold no cycle."""
+    up = np.maximum(parent, 0)  # the root points to itself
+    depth = (parent >= 0).astype(np.int32)  # the distance from v to up[v]
+    while np.any(up):
+        depth += depth[up]
+        up = up[up]
+    return depth
+
+
+def padic_vertex_count(p: int, depth: int) -> float:
+    """Balls of the complete p-ary tree of a depth, (p**(depth+1) - 1) /
+    (p - 1), as a float: inf where the exact count would be a huge integer."""
+    if (depth + 1) * math.log2(p) > 1000:
+        return math.inf
+    return float((p ** (depth + 1) - 1) // (p - 1))
+
+
 def _build_padic(spec: dict[str, Any]) -> BallTree:
     known = {"p", "depth", "A", "q", "type"}
     extra = set(spec) - known
@@ -411,45 +481,56 @@ def _build_padic(spec: dict[str, Any]) -> BallTree:
         raise ValueError(f"total measure must be positive, got {total}")
     if not np.isfinite(ratio) or ratio <= 1.0:
         raise ValueError(f"diameter ratio must exceed 1, got {ratio}")
+    n = padic_vertex_count(p, depth)
+    if n > MAX_VERTICES:
+        size = f"{n:.3g}" if math.isfinite(n) else "more than 1e300"
+        raise ValueError(
+            f"shorthand tree p={p}, depth={depth} has {size} balls, "
+            f"above the limit of {MAX_VERTICES}"
+        )
 
-    leaf_measure_value = total * float(p) ** (-depth)
-    children: list[list[int]] = []
-    depths: list[int] = []
-    leaf_measure: dict[int, float] = {}
-
-    def grow(d: int) -> int:
-        v = len(children)
-        children.append([])
-        depths.append(d)
-        if d == depth:
-            leaf_measure[v] = leaf_measure_value
-        else:
-            children[v] = [grow(d + 1) for _ in range(p)]
-        return v
-
-    grow(0)
-    diameter = [ratio ** (-d) for d in depths]
-    return BallTree(children, leaf_measure, diameter)
+    # level by level in preorder: child m of v is v + 1 + m * (the size of
+    # a subtree one level down)
+    n = int(n)
+    parent = np.full(n, -1, dtype=np.int32)
+    child_slot = np.full(n, -1, dtype=np.int32)
+    diameter = np.empty(n)
+    leaf_measure = np.full(n, np.nan)
+    level = np.zeros(1, dtype=np.int32)
+    diameter[0] = 1.0  # ratio ** -0
+    subtree = n
+    for d in range(1, depth + 1):
+        subtree = (subtree - 1) // p
+        kids = (level[:, None] + 1 + np.arange(p, dtype=np.int32) * subtree).ravel()
+        parent[kids] = np.repeat(level, p)
+        child_slot[kids] = np.tile(np.arange(p, dtype=np.int32), len(level))
+        diameter[kids] = ratio ** (-d)
+        level = kids
+    leaf_measure[level] = total * float(p) ** (-depth)
+    return BallTree(parent, child_slot, leaf_measure, diameter)
 
 
 def _build_explicit(root: Any) -> BallTree:
-    children: list[list[int]] = []
+    parent: list[int] = []
+    child_slot: list[int] = []
     depths: list[int] = []
-    leaf_measure: dict[int, float] = {}
-    given_diameter: dict[int, float] = {}
+    leaf_measure: list[float] = []
+    given_diameter: list[float] = []
 
-    def grow(node: Any, d: int, path: str) -> int:
+    def grow(node: Any, up: int, slot: int, d: int, path: str) -> None:
         if not isinstance(node, dict):
             raise ValueError(f"tree node at {path!r} must be a mapping")
         extra = set(node) - {"children", "measure", "diameter"}
         if extra:
             raise ValueError(f"unknown keys {sorted(extra)} on node {path!r}")
-        v = len(children)
-        children.append([])
+        v = len(parent)
+        parent.append(up)
+        child_slot.append(slot)
         depths.append(d)
+        leaf_measure.append(math.nan)
         if "diameter" in node:
-            given_diameter[v] = _spec_number(node["diameter"],
-                                             f"diameter of {path!r}")
+            given_diameter.append(_spec_number(node["diameter"],
+                                               f"diameter of {path!r}"))
         has_children = "children" in node
         has_measure = "measure" in node
         if has_children and has_measure:
@@ -458,25 +539,23 @@ def _build_explicit(root: Any) -> BallTree:
             subs = node["children"]
             if not isinstance(subs, (list, tuple)):
                 raise ValueError(f"children of {path!r} must be a sequence")
-            children[v] = [
-                grow(sub, d + 1, f"{path}.{m}" if path else str(m))
-                for m, sub in enumerate(subs)
-            ]
+            for m, sub in enumerate(subs):
+                grow(sub, v, m, d + 1, f"{path}.{m}" if path else str(m))
         elif has_measure:
             leaf_measure[v] = _spec_number(node["measure"],
                                            f"measure of {path!r}")
         else:
             raise ValueError(f"node {path!r} needs 'children' or 'measure'")
-        return v
 
-    grow(root, 0, "")
-    n = len(children)
+    grow(root, -1, -1, 0, "")
+    n = len(parent)
     if len(given_diameter) == 0:
-        diameter = [DEFAULT_DIAMETER_RATIO ** (-d) for d in depths]
+        per_depth = [DEFAULT_DIAMETER_RATIO ** (-d) for d in range(max(depths) + 1)]
+        diameter = np.array(per_depth)[depths]
     elif len(given_diameter) == n:
-        diameter = [given_diameter[v] for v in range(n)]
+        diameter = given_diameter
     else:
         raise ValueError(
             "diameters must be specified on every vertex or on none"
         )
-    return BallTree(children, leaf_measure, diameter)
+    return BallTree(parent, child_slot, leaf_measure, diameter)

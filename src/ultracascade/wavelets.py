@@ -18,11 +18,20 @@ top-down, the piece each ball's wavelets put on every child.  Each is
 O(V * p) per field, for V vertices and branching p, and holds O(V)
 numbers.  A dense (slots x leaves) basis matrix is a test reference only;
 ``WaveletBasis.gram_matrix`` stacks one as a small-tree diagnostic.
+
+``build_basis`` is O(V * p) numpy plus one small Python loop per group of
+balls with equal child measures (one group per depth on a shorthand
+tree): it groups the rows of child measures with one ``np.unique`` and
+fills ``slot_coeffs`` with one gather.  The per-vertex ``coeffs`` dict and
+the ``slots``, ``slot_index`` and ``labels`` tuples are built on first
+use; the transforms, ``assemble`` and the recurrent route never need them.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,58 +122,88 @@ class LeafField:
 class WaveletBasis:
     """Wavelet coefficient tables for every internal ball of a tree.
 
-    ``coeffs[I]`` is the (p_I - 1, p_I) complex array whose row j holds the
-    constant values of wavelet (I, j) on the children of I.  Slots (I, j)
-    are ordered by vertex preorder, then j; ``slot_vertex`` holds the vertex
-    of every slot.  ``slot_coeffs`` is the (N, p_max) array of those rows,
-    one per slot, zero-padded to the largest branching, and
-    ``slot_children`` the matching child vertices (padding holds the
-    root): wavelet s takes the value ``slot_coeffs[s, m]`` on the ball
-    ``slot_children[s, m]``.  These O(N * p_max) arrays are all the
-    transforms read.
+    Slots (I, j), wavelet j of the internal ball I, are ordered by vertex
+    preorder, then j; ``slot_vertex`` and ``slot_wavelet`` hold the I and
+    j of every slot.  ``slot_coeffs`` is the (N, p_max) array whose row s
+    holds the constant values of wavelet s on the children of its ball,
+    zero-padded to the largest branching, and ``slot_children`` the
+    matching child vertices (padding holds the root): wavelet s takes the
+    value ``slot_coeffs[s, m]`` on the ball ``slot_children[s, m]``.
+    These O(N * p_max) arrays are all the transforms read.
+
+    A block of rows depends only on the child measures of its ball, so
+    ``blocks`` holds one read-only (p_I - 1, p_I) table per group of
+    balls with the same child measures, and ``block_of[i]`` names the
+    block of ``tree.internal[i]``.  The per-vertex dict ``coeffs``, the
+    tuple ``slots`` of (I, j) pairs, its inverse ``slot_index`` and the
+    ``labels`` are built on first use, in O(N) Python.
     """
 
     def __init__(self, tree: BallTree, scheme: str,
-                 coeffs: dict[int, np.ndarray]):
+                 blocks: list[np.ndarray], block_of: np.ndarray):
         self.tree = tree
         self.scheme = scheme
-        self.coeffs = coeffs
-        slots: list[tuple[int, int]] = []
-        for v in tree.internal:
-            v = int(v)
-            for j in range(tree.n_children(v) - 1):
-                slots.append((v, j))
-        self.slots = tuple(slots)
-        self.slot_index = {s: i for i, s in enumerate(slots)}
-        self.slot_vertex = np.array([v for v, _ in slots], dtype=np.intp)
-        self.labels = tuple(f"{tree.labels[v]}:{j}" for v, j in slots)
+        self.blocks = blocks
+        self.block_of = block_of
+        internal = tree.internal
+        wavelets = tree.branching[internal] - 1
+        first = np.cumsum(wavelets) - wavelets
+        n_slots = int(wavelets.sum())
+        self.slot_vertex = np.repeat(internal, wavelets).astype(np.intp)
+        self.slot_wavelet = np.arange(n_slots) - np.repeat(first, wavelets)
+        self._first_slot = np.full(tree.n_vertices, -1, dtype=np.intp)
+        self._first_slot[internal] = first
 
-        p_max = max(len(row) for row in tree.children)
-        self.slot_coeffs = np.zeros((len(slots), p_max), dtype=np.complex128)
-        start = 0
-        for v in tree.internal:
-            block = coeffs[int(v)]
-            self.slot_coeffs[start:start + len(block), :block.shape[1]] = block
-            start += len(block)
-        by_position = np.zeros((tree.n_vertices, p_max), dtype=np.intp)
-        by_position[tree.parent[1:], tree.child_slot[1:]] = np.arange(
-            1, tree.n_vertices
-        )
-        self.slot_children = by_position[self.slot_vertex]
-        for arr in (self.slot_vertex, self.slot_coeffs, self.slot_children):
+        # every block's rows stacked, then one gather by slot
+        heights = np.array([len(b) for b in blocks], dtype=np.intp)
+        start = np.cumsum(heights) - heights
+        rows = np.zeros((int(heights.sum()), tree.child_table.shape[1]),
+                        dtype=np.complex128)
+        for block, s0 in zip(blocks, start.tolist()):
+            rows[s0:s0 + len(block), :block.shape[1]] = block
+        self.slot_coeffs = rows[np.repeat(start[block_of], wavelets)
+                                + self.slot_wavelet]
+        self.slot_children = tree.child_table[self.slot_vertex]
+        for arr in (self.block_of, self.slot_vertex, self.slot_wavelet,
+                    self._first_slot, self.slot_coeffs, self.slot_children):
             arr.setflags(write=False)
-        # the vertices of each depth 1, 2, ... in preorder, where siblings
-        # sit next to each other, with the start of every sibling run
-        order = np.argsort(tree.depth, kind="stable")
-        self._levels = []
-        for verts in np.split(order, np.cumsum(np.bincount(tree.depth))[:-1])[1:]:
-            parent = tree.parent[verts]
+
+    @cached_property
+    def coeffs(self) -> dict[int, np.ndarray]:
+        """Block of every internal vertex; vertices of one group share it."""
+        return {v: self.blocks[g] for v, g in
+                zip(self.tree.internal.tolist(), self.block_of.tolist())}
+
+    @cached_property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.slot_vertex.tolist(), self.slot_wavelet.tolist()))
+
+    @cached_property
+    def slot_index(self) -> dict[tuple[int, int], int]:
+        return {s: i for i, s in enumerate(self.slots)}
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """``path:j`` name of every slot."""
+        labels = self.tree.labels
+        return tuple(f"{labels[v]}:{j}" for v, j in self.slots)
+
+    @cached_property
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The vertices of each depth 1, 2, ... in preorder, where siblings
+        sit next to each other, with their parents and the start of every
+        sibling run."""
+        levels = []
+        for d in range(1, int(self.tree.depth.max()) + 1):
+            verts = self.tree.level(d)
+            parent = self.tree.parent[verts]
             starts = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
-            self._levels.append((verts, parent, starts))
+            levels.append((verts, parent, starts))
+        return levels
 
     @property
     def n_slots(self) -> int:
-        return len(self.slots)
+        return len(self.slot_vertex)
 
     def analyze_array(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of leaf-value rows: (..., L) -> (..., N), unchecked.
@@ -207,20 +246,26 @@ class WaveletBasis:
     def slot_label(self, vertex: int, j: int) -> str:
         return self.labels[self.slot_of(vertex, j)]
 
+    def has_slot(self, vertex: int, j: int) -> bool:
+        vertex, j = int(vertex), int(j)
+        return (0 <= vertex < len(self._first_slot)
+                and 0 <= j < self.tree.branching.item(vertex) - 1)
+
     def slot_of(self, vertex: int, j: int) -> int:
-        try:
-            return self.slot_index[(int(vertex), int(j))]
-        except KeyError:
+        """Slot of wavelet j on ball ``vertex``: its first slot plus j."""
+        if not self.has_slot(vertex, j):
             raise ValueError(
-                f"no wavelet slot ({self.tree.labels[int(vertex)]!r}, {j})"
-            ) from None
+                f"no wavelet slot ({self.tree.label(vertex)!r}, {j})"
+            )
+        return self._first_slot.item(int(vertex)) + int(j)
 
     def leaf_values(self, vertex: int, j: int) -> np.ndarray:
         """Leaf-value vector of one wavelet, in canonical leaf order: O(L)."""
-        row = self.slot_coeffs[self.slot_of(vertex, j)]
+        s = self.slot_of(vertex, j)
         out = np.zeros(self.tree.n_leaves, dtype=np.complex128)
-        for m, child in enumerate(self.tree.children[int(vertex)]):
-            out[self.tree.leaf_slice(child)] = row[m]
+        for child, value in zip(self.slot_children[s], self.slot_coeffs[s]):
+            if child:  # padding holds the root
+                out[self.tree.leaf_slice(child)] = value
         return out
 
     def as_leaf_field(self, vertex: int, j: int) -> LeafField:
@@ -254,13 +299,13 @@ class WaveletField:
         clean: dict[tuple[int, int], complex] = {}
         for (v, j), z in self.data.items():
             key = (int(v), int(j))
-            if key not in self.basis.slot_index:
+            if not self.basis.has_slot(*key):
                 raise ValueError(
-                    f"({self.basis.tree.labels[key[0]]!r}, {key[1]}) "
+                    f"({self.basis.tree.label(key[0])!r}, {key[1]}) "
                     "is not a wavelet slot of this basis"
                 )
             z = complex(z)
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+            if not cmath.isfinite(z):
                 raise ValueError("wavelet coefficients must be finite")
             clean[key] = z
         self.data = clean
@@ -282,16 +327,18 @@ class WaveletField:
 
     def records(self) -> list[tuple[str, int, float, float]]:
         out = []
-        for v, j in sorted(self.data, key=self.basis.slot_index.__getitem__):
+        for v, j in sorted(self.data, key=lambda key: self.basis.slot_of(*key)):
             z = self.data[(v, j)]
-            out.append((self.basis.tree.labels[v], j, z.real, z.imag))
+            out.append((self.basis.tree.label(v), j, z.real, z.imag))
         return out
 
     def dense(self) -> np.ndarray:
         """Coefficient vector over all basis slots (zeros where absent)."""
         vec = np.zeros(self.basis.n_slots, dtype=np.complex128)
-        for key, z in self.data.items():
-            vec[self.basis.slot_index[key]] = z
+        if self.data:  # keys were checked on construction: one gather
+            keys = np.array(list(self.data), dtype=np.intp)
+            vec[self.basis._first_slot[keys[:, 0]] + keys[:, 1]] = list(
+                self.data.values())
         return vec
 
     def __len__(self) -> int:
@@ -314,26 +361,37 @@ def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
     vertex to carry equal measure.
 
     A block depends only on the child measures, so vertices whose child
-    measures agree to the last bit share one read-only block.
+    measures agree to the last bit share one read-only block: one
+    ``np.unique`` over the rows of child measures finds the groups, a
+    Python loop runs once per group, and one gather fills ``slot_coeffs``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown basis scheme {scheme!r}; use one of {SCHEMES}")
-    coeffs: dict[int, np.ndarray] = {}
-    blocks: dict[bytes, np.ndarray] = {}
-    for v in tree.internal:
-        v = int(v)
-        nu = tree.measure[list(tree.children[v])]
-        key = nu.tobytes()
-        block = blocks.get(key)
-        if block is None:
-            if scheme == "gram-schmidt":
-                block = _gram_schmidt_block(nu)
-            else:
-                block = _roots_of_unity_block(nu, tree.labels[v])
-            block.setflags(write=False)
-            blocks[key] = block
-        coeffs[v] = block
-    return WaveletBasis(tree, scheme, coeffs)
+    internal = tree.internal
+    if len(internal) == 0:
+        return WaveletBasis(tree, scheme, [], np.zeros(0, dtype=np.intp))
+    branching = tree.branching[internal]
+    nu = tree.measure[tree.child_table[internal]]
+    # zero padding past the last child keeps the byte keys of different
+    # branchings apart, as every measure is positive
+    nu[np.arange(nu.shape[1]) >= branching[:, None]] = 0.0
+    keys = nu.view(np.dtype((np.void, nu.itemsize * nu.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    # blocks in the preorder of their first vertex, the vertex that a
+    # failing equal-measure check names
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    blocks = []
+    for i in first[order].tolist():
+        row = nu[i, :branching[i]]
+        if scheme == "gram-schmidt":
+            block = _gram_schmidt_block(row)
+        else:
+            block = _roots_of_unity_block(row, tree.label(internal[i]))
+        block.setflags(write=False)
+        blocks.append(block)
+    return WaveletBasis(tree, scheme, blocks, rank[group.ravel()])
 
 
 def _gram_schmidt_block(nu: np.ndarray) -> np.ndarray:
@@ -387,12 +445,10 @@ def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
             "over wavelets"
         )
     vec = basis.analyze_array(f.values)
-    data = {
-        slot: complex(z)
-        for slot, z in zip(basis.slots, vec)
-        if z != 0
-    }
-    return WaveletField(basis, data)
+    nonzero = np.flatnonzero(vec)
+    slots = zip(basis.slot_vertex[nonzero].tolist(),
+                basis.slot_wavelet[nonzero].tolist())
+    return WaveletField(basis, dict(zip(slots, vec[nonzero].tolist())))
 
 
 def synthesize(v: WaveletField) -> LeafField:
@@ -408,10 +464,8 @@ def ancestor_value(basis: WaveletBasis, J: int, j: int, I: int) -> complex:
     """
     tree = basis.tree
     child = tree.child_toward(J, I)
-    slot = tree.child_slot[child]
-    block = basis.coeffs[int(J)]
-    if not (0 <= int(j) < block.shape[0]):
+    if not basis.has_slot(J, j):
         raise ValueError(
-            f"wavelet index {j} out of range for vertex {tree.labels[int(J)]!r}"
+            f"wavelet index {j} out of range for vertex {tree.label(J)!r}"
         )
-    return complex(block[int(j), int(slot)])
+    return complex(basis.slot_coeffs[basis.slot_of(J, j), tree.child_slot[child]])

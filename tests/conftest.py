@@ -109,6 +109,207 @@ def dense_basis_matrix(basis: uc.WaveletBasis) -> np.ndarray:
     return matrix
 
 
+class ReferenceTree:
+    """The per-vertex loop constructor that the array core of
+    ``BallTree`` replaced, kept as the reference that every array, label
+    and error message of the core must equal."""
+
+    def __init__(self, children, leaf_measure: dict[int, float], diameter):
+        n = len(children)
+        if n == 0:
+            raise ValueError("tree must have at least one vertex")
+        self.children = tuple(tuple(int(c) for c in row) for row in children)
+
+        parent = np.full(n, -1, dtype=np.int32)
+        child_slot = np.full(n, -1, dtype=np.int32)
+        for v, row in enumerate(self.children):
+            for m, c in enumerate(row):
+                if not (0 <= c < n):
+                    raise ValueError(f"child id {c} out of range")
+                if c != 0 and parent[c] != -1:
+                    raise ValueError(f"vertex {c} has two parents")
+                parent[c] = v
+                child_slot[c] = m
+        if parent[0] != -1:
+            raise ValueError("root (vertex 0) must not have a parent")
+        if any(parent[v] == -1 for v in range(1, n)):
+            raise ValueError("tree is disconnected")
+
+        depth = np.zeros(n, dtype=np.int32)
+        labels: list[str] = [""] * n
+        for v in range(1, n):
+            p = parent[v]
+            if p >= v:
+                raise ValueError("vertices must be numbered in preorder")
+            depth[v] = depth[p] + 1
+            slot = child_slot[v]
+            labels[v] = str(slot) if p == 0 else f"{labels[p]}.{slot}"
+
+        measure = np.zeros(n, dtype=np.float64)
+        for v in range(n - 1, -1, -1):
+            row = self.children[v]
+            if len(row) == 0:
+                if v not in leaf_measure:
+                    raise ValueError(f"leaf {labels[v]!r} has no measure")
+                m = float(leaf_measure[v])
+                if not np.isfinite(m) or m <= 0.0:
+                    raise ValueError(
+                        f"leaf {labels[v]!r} must have positive finite measure, got {m}"
+                    )
+                measure[v] = m
+            else:
+                if len(row) == 1:
+                    raise ValueError(
+                        f"vertex {labels[v]!r} has a single child; every ball "
+                        "must split into at least two maximal subballs"
+                    )
+                if v in leaf_measure:
+                    raise ValueError(
+                        f"internal vertex {labels[v]!r} cannot carry a leaf measure"
+                    )
+                measure[v] = measure[list(row)].sum()
+
+        diameter = np.asarray(diameter, dtype=np.float64)
+        if diameter.shape != (n,):
+            raise ValueError("diameter array must cover every vertex")
+        if not np.all(np.isfinite(diameter)) or np.any(diameter <= 0.0):
+            raise ValueError("diameters must be positive and finite")
+        for v in range(1, n):
+            if diameter[v] >= diameter[parent[v]]:
+                raise ValueError(
+                    f"diameter must strictly increase toward the root; "
+                    f"vertex {labels[v]!r} violates this"
+                )
+
+        leaves = np.array(
+            [v for v in range(n) if len(self.children[v]) == 0], dtype=np.int32
+        )
+        leaf_pos = np.full(n, -1, dtype=np.int32)
+        leaf_pos[leaves] = np.arange(len(leaves), dtype=np.int32)
+        leaf_range = np.zeros((n, 2), dtype=np.int32)
+        for v in range(n - 1, -1, -1):
+            row = self.children[v]
+            if len(row) == 0:
+                leaf_range[v] = (leaf_pos[v], leaf_pos[v] + 1)
+            else:
+                leaf_range[v] = (leaf_range[row[0], 0], leaf_range[row[-1], 1])
+
+        self.parent = parent
+        self.child_slot = child_slot
+        self.depth = depth
+        self.labels = tuple(labels)
+        self.measure = measure
+        self.diameter = diameter
+        self.leaves = leaves
+        self.internal = np.array(
+            [v for v in range(n) if len(self.children[v]) > 0], dtype=np.int32
+        )
+        self.leaf_ranges = leaf_range
+        self.by_label = {lab: v for v, lab in enumerate(labels)}
+
+
+def reference_tree(spec: dict) -> ReferenceTree:
+    """``build_tree`` as it was: a recursive walk appending one vertex at a
+    time, for the shorthand and the explicit forms."""
+    children: list[list[int]] = []
+    depths: list[int] = []
+    leaf_measure: dict[int, float] = {}
+    if "p" in spec:
+        p, depth = spec["p"], spec["depth"]
+        value = float(spec.get("A", 1.0)) * float(p) ** (-depth)
+        ratio = float(spec.get("q", 2.0))
+
+        def grow_padic(d: int) -> int:
+            v = len(children)
+            children.append([])
+            depths.append(d)
+            if d == depth:
+                leaf_measure[v] = value
+            else:
+                children[v] = [grow_padic(d + 1) for _ in range(p)]
+            return v
+
+        grow_padic(0)
+        return ReferenceTree(children, leaf_measure,
+                             [ratio ** (-d) for d in depths])
+
+    given: dict[int, float] = {}
+    number = uc.tree._spec_number
+
+    def grow(node, d: int, path: str) -> int:
+        if not isinstance(node, dict):
+            raise ValueError(f"tree node at {path!r} must be a mapping")
+        extra = set(node) - {"children", "measure", "diameter"}
+        if extra:
+            raise ValueError(f"unknown keys {sorted(extra)} on node {path!r}")
+        v = len(children)
+        children.append([])
+        depths.append(d)
+        if "diameter" in node:
+            given[v] = number(node["diameter"], f"diameter of {path!r}")
+        if "children" in node and "measure" in node:
+            raise ValueError(f"node {path!r} has both children and a measure")
+        if "children" in node:
+            subs = node["children"]
+            if not isinstance(subs, (list, tuple)):
+                raise ValueError(f"children of {path!r} must be a sequence")
+            children[v] = [
+                grow(sub, d + 1, f"{path}.{m}" if path else str(m))
+                for m, sub in enumerate(subs)
+            ]
+        elif "measure" in node:
+            leaf_measure[v] = number(node["measure"], f"measure of {path!r}")
+        else:
+            raise ValueError(f"node {path!r} needs 'children' or 'measure'")
+        return v
+
+    grow(spec.get("root", spec), 0, "")
+    n = len(children)
+    if not given:
+        diameter = [2.0 ** (-d) for d in depths]
+    elif len(given) == n:
+        diameter = [given[v] for v in range(n)]
+    else:
+        raise ValueError("diameters must be specified on every vertex or on none")
+    return ReferenceTree(children, leaf_measure, diameter)
+
+
+def reference_basis(tree: ReferenceTree, scheme: str) -> dict:
+    """The per-vertex basis tables as ``build_basis`` and
+    ``WaveletBasis.__init__`` made them, one block per distinct child
+    measures, keyed by their bytes."""
+    from ultracascade.wavelets import _gram_schmidt_block, _roots_of_unity_block
+
+    coeffs: dict[int, np.ndarray] = {}
+    blocks: dict[bytes, np.ndarray] = {}
+    for v in tree.internal.tolist():
+        nu = tree.measure[list(tree.children[v])]
+        if nu.tobytes() not in blocks:
+            blocks[nu.tobytes()] = (
+                _gram_schmidt_block(nu) if scheme == "gram-schmidt"
+                else _roots_of_unity_block(nu, tree.labels[v]))
+        coeffs[v] = blocks[nu.tobytes()]
+    slots = tuple((v, j) for v in tree.internal.tolist()
+                  for j in range(len(tree.children[v]) - 1))
+    p_max = max(len(row) for row in tree.children)
+    slot_coeffs = np.zeros((len(slots), p_max), dtype=np.complex128)
+    slot_children = np.zeros((len(slots), p_max), dtype=np.intp)
+    for s, (v, j) in enumerate(slots):
+        slot_coeffs[s, :len(coeffs[v][j])] = coeffs[v][j]
+        slot_children[s, :len(tree.children[v])] = tree.children[v]
+    return {
+        "coeffs": coeffs,
+        "slots": slots,
+        "slot_index": {s: i for i, s in enumerate(slots)},
+        "slot_vertex": np.array([v for v, _ in slots], dtype=np.intp),
+        "slot_wavelet": np.array([j for _, j in slots], dtype=np.intp),
+        "labels": tuple(f"{tree.labels[v]}:{j}" for v, j in slots),
+        "slot_coeffs": slot_coeffs,
+        "slot_children": slot_children,
+        "n_groups": len(blocks),
+    }
+
+
 def _reference_fmt(x: float) -> str:
     return format(float(x), ".17g")
 

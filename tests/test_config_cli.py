@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -560,3 +561,80 @@ def test_trajectory_csv_values_round_trip_bitwise(tmp_path):
             re = float(rows[k][header.index(f"{label}.re")])
             im = float(rows[k][header.index(f"{label}.im")])
             assert complex(re, im) == traj.values[k, i]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "change, estimate",
+    [
+        ({"tree": {"p": 2, "depth": 40}}, "has 2.2e+12 balls"),
+        ({"tree": {"p": 1000000, "depth": 3}}, "has 1e+18 balls"),
+        ({"t_end": 1e9, "dt": 1e-9}, "x 3 slots needs 4.47e+10 GiB"),
+    ],
+    ids=["p2-depth40", "p1e6-depth3", "1e18-steps"],
+)
+def test_cli_refuses_over_budget_before_allocating(
+    tmp_path, capsys, command, change, estimate
+):
+    raw = minimal_config()
+    raw.update(change)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    args = [command, str(path)] + (["--out-dir", str(tmp_path)]
+                                   if command == "run" else [])
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 20
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1 and estimate in lines[0] and "above the limit" in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+def test_budgets_admit_the_depth_20_tree_and_bundled_sizes(scenario_dir):
+    assert uc.tree.padic_vertex_count(2, 20) <= uc.tree.MAX_VERTICES
+    assert uc.tree.padic_vertex_count(2, 21) > uc.tree.MAX_VERTICES
+    for path in sorted(scenario_dir.glob("*.json")):
+        scen = uc.build_scenario(uc.load_config(path))
+        steps = uc.solver.grid_steps(scen.config.t_end, scen.config.dt)
+        uc.solver.check_trajectory_budget(steps, scen.tree.n_leaves)
+    # the largest benchmark rungs: p=2 depth 12 at 200 steps, depth 9 at 1000
+    uc.solver.check_trajectory_budget(200, 2 ** 12)
+    uc.solver.check_trajectory_budget(1000, 2 ** 9)
+
+
+def test_solvers_refuse_a_trajectory_over_budget():
+    system = uc.build_scenario(uc.parse_config(minimal_config())).system
+    v0 = uc.WaveletField(system.basis, {(0, 0): 0.5})
+    for solve in (uc.solve_recurrent, uc.solve_rk):
+        with pytest.raises(ValueError, match="above the limit"):
+            solve(system, v0, 1e9, 1e-9)
+    with pytest.raises(ValueError, match="above the limit"):
+        uc.solve_leaf(system.tree, system.interaction, system.dissipation,
+                      uc.synthesize(v0), 1e9, 1e-9)
+
+
+def test_cli_import_and_validate_load_no_process_pool_or_hashlib(scenario_dir):
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "loaded = lambda: sorted(m for m in set(sys.modules) - before\n"
+        "    if m.split('.')[0] in ('concurrent', 'multiprocessing', 'hashlib'))\n"
+        "from ultracascade import cli\n"
+        "print(loaded())\n"
+        "assert cli.main(['validate', sys.argv[1]]) == 0\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(scenario_dir / "nested_pair.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
+    assert lines[1].startswith("ok:")

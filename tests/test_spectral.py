@@ -66,6 +66,21 @@ def test_eigen_check_random_trees():
         assert uc.eigen_check(kernel, basis) <= uc.EIGEN_TOL
 
 
+def test_eigen_check_builds_one_sup_table(monkeypatch):
+    rng = np.random.default_rng(109)
+    tree = uc.random_tree(rng, max_leaves=40)
+    basis = uc.build_basis(tree)
+    kernel = uc.random_kernel(tree, rng)
+    f = random_mean_zero_field(tree, rng)
+    shared = uc.apply_pdo_direct(kernel, f, sup=uc.oracles.leaf_sup_table(tree))
+    assert shared.values.tobytes() == uc.apply_pdo_direct(kernel, f).values.tobytes()
+    real, built = uc.oracles.leaf_sup_table, []
+    monkeypatch.setattr(uc.oracles, "leaf_sup_table",
+                        lambda t: built.append(t) or real(t))
+    assert uc.eigen_check(kernel, basis) <= uc.EIGEN_TOL
+    assert len(built) == 1 < basis.n_slots
+
+
 def test_pdo_constant_field_is_exact_zero():
     rng = np.random.default_rng(103)
     tree = uc.random_tree(rng, max_leaves=40)

@@ -191,7 +191,7 @@ def test_interior_measures_sum_of_leaves():
 def test_leaf_sup_table_matches_pairwise_sup():
     rng = np.random.default_rng(31)
     tree = uc.random_tree(rng, max_leaves=25)
-    table = tree.leaf_sup_table()
+    table = uc.oracles.leaf_sup_table(tree)
     leaves = [int(v) for v in tree.leaves]
     for i, a in enumerate(leaves):
         for j, b in enumerate(leaves):
@@ -201,7 +201,7 @@ def test_leaf_sup_table_matches_pairwise_sup():
 def test_vertex_leaf_sup_table_matches_pairwise_sup():
     rng = np.random.default_rng(37)
     tree = uc.random_tree(rng, max_leaves=25)
-    table = tree.vertex_leaf_sup_table()
+    table = uc.oracles.vertex_leaf_sup_table(tree)
     leaves = [int(v) for v in tree.leaves]
     for v in range(tree.n_vertices):
         for j, b in enumerate(leaves):
