@@ -38,6 +38,7 @@ from .oracles import (
     CROSS_SOLVER_TOL,
     EIGEN_TOL,
     INTERACTION_TOL,
+    dense_check_refusal,
     eigen_check,
     interaction_check,
     random_kernel,
@@ -53,7 +54,7 @@ from .solver import (
     solve_recurrent,
     solve_rk,
 )
-from .spectral import DEFAULT_LEAF_CAP
+from .spectral import Kernel
 
 __all__ = ["main"]
 
@@ -153,36 +154,56 @@ def _solve_canonical(scen: Scenario) -> tuple[Trajectory, dict, dict | None]:
     return traj, {cfg.solver: traj.metadata}, None
 
 
-def _oracle_results(scen: Scenario, disagreement: dict | None) -> dict:
-    """Self-checks requested by the config's oracle flags."""
-    cfg = scen.config
+def _self_checks(scen: Scenario, eigen_kernels: list[tuple[str, Kernel]],
+                 phi_kernels: list[tuple[str, Kernel]], spread: dict | None) -> dict:
+    """Self-check records: the dense eigen and interaction checks over
+    (name, kernel) lists, and the route spread of ``solve_all``.  An empty
+    list or a None spread leaves its check out; a dense check the tree is
+    too big for gets a ``skipped`` record with the reason."""
     out: dict = {}
-    if cfg.oracles.get("check_eigen", False):
-        devs = {
-            "interaction": eigen_check(scen.interaction, scen.basis),
-            "dissipation": eigen_check(scen.dissipation, scen.basis),
-        }
-        out["eigen"] = {
-            "max_deviation": max(devs.values()),
-            "per_kernel": devs,
-            "tolerance": EIGEN_TOL,
-            "pass": max(devs.values()) <= EIGEN_TOL,
-        }
-    if cfg.oracles.get("check_phi", False):
-        dev, pairs = interaction_check(scen.interaction, scen.basis)
-        out["interaction"] = {
-            "max_deviation": dev,
-            "pairs": pairs,
-            "tolerance": INTERACTION_TOL,
-            "pass": dev <= INTERACTION_TOL,
-        }
-    if cfg.oracles.get("check_cross", False):
-        out["cross_solver"] = {
-            "max_disagreement": disagreement["max"],
-            "tolerance": CROSS_SOLVER_TOL,
-            "pass": disagreement["max"] <= CROSS_SOLVER_TOL,
-        }
+    for name, kernels in (("eigen", eigen_kernels), ("interaction", phi_kernels)):
+        reason = kernels and dense_check_refusal(name, scen.tree)
+        if reason:
+            out[name] = {"skipped": reason}
+        elif kernels and name == "eigen":
+            devs = {k: eigen_check(kernel, scen.basis) for k, kernel in kernels}
+            out[name] = {"per_kernel": devs,
+                         **_verdict(max(devs.values()), EIGEN_TOL)}
+        elif kernels:
+            found = [interaction_check(kernel, scen.basis) for _, kernel in kernels]
+            out[name] = {"pairs": sum(n for _, n in found),
+                         **_verdict(max(d for d, _ in found), INTERACTION_TOL)}
+    if spread is not None:
+        out["cross_solver"] = _verdict(spread["max"], CROSS_SOLVER_TOL,
+                                       "max_disagreement")
     return out
+
+
+def _verdict(found: float, tolerance: float, key: str = "max_deviation") -> dict:
+    return {key: found, "tolerance": tolerance, "pass": found <= tolerance}
+
+
+def _check_line(name: str, rec: dict, n_slots: int) -> str:
+    """The line ``oracle`` prints for one self-check record."""
+    title = {"eigen": "eigenvalue", "cross_solver": "solver"}.get(name, name)
+    if "skipped" in rec:
+        return f"{title} check: skipped ({rec['skipped']})"
+    if name == "cross_solver":
+        found = f"max pairwise disagreement {rec['max_disagreement']:.3e}"
+    else:
+        cases = (f"{len(rec['per_kernel']) * n_slots} wavelet/kernel cases"
+                 if name == "eigen" else f"{rec['pairs']} wavelet pairs")
+        found = f"max deviation {rec['max_deviation']:.3e} over {cases}"
+    verdict = "PASS" if rec["pass"] else "FAIL"
+    return f"{title} check: {found} (tolerance {rec['tolerance']:g}): {verdict}"
+
+
+def _refuse_oversized_flags(scen: Scenario) -> None:
+    """Refuse, before any solve, a dense check flag the tree is too big for."""
+    for name, flag in (("eigen", "check_eigen"), ("interaction", "check_phi")):
+        reason = scen.config.oracles.get(flag) and dense_check_refusal(name, scen.tree)
+        if reason:
+            raise ConfigError(f"oracles.{flag}: {reason}")
 
 
 def _output_names(config_path: Path, cfg: ScenarioConfig) -> dict[str, str]:
@@ -214,12 +235,17 @@ def run_scenario_file(config_path: Path, out_dir: Path | None) -> int:
     """Solve one scenario file and write its outputs; returns an exit code."""
     cfg = load_config(config_path)
     scen = build_scenario(cfg)
+    _refuse_oversized_flags(scen)
     target = Path(out_dir) if out_dir is not None else config_path.parent
     target.mkdir(parents=True, exist_ok=True)
     names = _output_names(config_path, cfg)
 
     canonical, solver_metadata, disagreement = _solve_canonical(scen)
-    checks = _oracle_results(scen, disagreement)
+    flags = cfg.oracles
+    own = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
+    checks = _self_checks(scen, own if flags.get("check_eigen") else [],
+                          own[:1] if flags.get("check_phi") else [],
+                          disagreement if flags.get("check_cross") else None)
 
     summary = {
         "config_file": config_path.name,
@@ -298,6 +324,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(Path(args.config))
         scen = build_scenario(cfg)
+        _refuse_oversized_flags(scen)
     except ConfigError as exc:
         print(f"invalid: {exc}")
         return EXIT_CONFIG
@@ -315,55 +342,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(Path(args.config))
     scen = build_scenario(cfg)
     rng = np.random.default_rng(args.seed)
-    kernels = [
-        ("interaction", scen.interaction),
-        ("dissipation", scen.dissipation),
-    ] + [
-        (f"random-{i}", random_kernel(scen.tree, rng))
-        for i in range(ORACLE_RANDOM_KERNELS)
-    ]
-
-    all_pass = True
-
-    eigen_dev = max(eigen_check(k, scen.basis) for _, k in kernels)
-    n_cases = len(kernels) * scen.basis.n_slots
-    ok = eigen_dev <= EIGEN_TOL
-    all_pass &= ok
-    print(
-        f"eigenvalue check: max deviation {eigen_dev:.3e} over {n_cases} "
-        f"wavelet/kernel cases (tolerance {EIGEN_TOL:g}): "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
-
-    if scen.tree.n_leaves <= DEFAULT_LEAF_CAP:
-        phi_dev = 0.0
-        pairs = 0
-        for _, k in kernels:
-            dev, n = interaction_check(k, scen.basis)
-            phi_dev = max(phi_dev, dev)
-            pairs += n
-        ok = phi_dev <= INTERACTION_TOL
-        all_pass &= ok
-        print(
-            f"interaction check: max deviation {phi_dev:.3e} over {pairs} "
-            f"wavelet pairs (tolerance {INTERACTION_TOL:g}): "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-    else:
-        print(
-            f"interaction check: skipped ({scen.tree.n_leaves} leaves "
-            f"exceeds the direct-sum cap of {DEFAULT_LEAF_CAP})"
-        )
-
-    _, disagreement = solve_all(scen.system, scen.v0, cfg.t_end, cfg.dt)
-    ok = disagreement["max"] <= CROSS_SOLVER_TOL
-    all_pass &= ok
-    print(
-        f"solver check: max pairwise disagreement {disagreement['max']:.3e} "
-        f"(tolerance {CROSS_SOLVER_TOL:g}): {'PASS' if ok else 'FAIL'}"
-    )
-
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    kernels = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
+    kernels += [(f"random-{i}", random_kernel(scen.tree, rng))
+                for i in range(ORACLE_RANDOM_KERNELS)]
+    checks = _self_checks(scen, kernels, kernels, None)
+    # the dense checks report before the solve, which may abort
+    for name, rec in checks.items():
+        print(_check_line(name, rec, scen.basis.n_slots))
+    _, spread = solve_all(scen.system, scen.v0, cfg.t_end, cfg.dt)
+    checks.update(_self_checks(scen, [], [], spread))
+    print(_check_line("cross_solver", checks["cross_solver"], scen.basis.n_slots))
+    passed = all(rec.get("pass", True) for rec in checks.values())
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -9,11 +9,11 @@ Two claims carry the whole library:
 
 ``eigen_check`` and ``interaction_check`` measure the worst deviation of
 those claims on one tree/basis/kernel triple, evaluating the integrals by
-direct summation over leaf cells.  ``random_tree`` and ``random_kernel``
-supply the randomized inputs for sweeps.  The interaction check batches
-all wavelet pairs through shared contractions; ``interaction_integral_direct``
-remains the per-pair reference, and the batched path is expected to match
-it to rounding (tests enforce this).
+direct summation over leaf cells; ``dense_check_refusal`` says when a tree
+is too big for them.  ``random_tree`` and ``random_kernel`` supply the
+randomized inputs for sweeps.  The interaction check batches all wavelet
+pairs through shared contractions; ``interaction_integral_direct`` remains
+the per-pair reference, and the batched path matches it to rounding.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ __all__ = [
     "vertex_leaf_sup_table",
     "random_tree",
     "random_kernel",
+    "dense_check_refusal",
     "eigen_check",
     "interaction_check",
+    "MAX_EIGEN_CHECK_BYTES",
     "EIGEN_TOL",
     "INTERACTION_TOL",
     "CROSS_SOLVER_TOL",
@@ -48,6 +50,9 @@ __all__ = [
 EIGEN_TOL = 1e-12
 INTERACTION_TOL = 1e-11
 CROSS_SOLVER_TOL = 1e-5
+
+# the eigen check's L x L tables stop here: 4096 leaves fit, 8192 do not
+MAX_EIGEN_CHECK_BYTES = 1 << 30
 
 
 def leaf_sup_table(tree: BallTree) -> np.ndarray:
@@ -65,14 +70,29 @@ def leaf_sup_table(tree: BallTree) -> np.ndarray:
 
 
 def vertex_leaf_sup_table(tree: BallTree) -> np.ndarray:
-    """(V, L) array: entry [v, j] is sup of vertex v and the j-th leaf."""
-    sup2 = leaf_sup_table(tree)
-    supv = np.empty((tree.n_vertices, tree.n_leaves), dtype=np.int32)
-    for v in range(tree.n_vertices):
+    """(V, L) array: entry [v, j] is sup of vertex v and the j-th leaf; its
+    rows at ``tree.leaves`` are ``leaf_sup_table``.  Built top-down, O(V L):
+    row v is its parent's row with v's own leaf block set to v."""
+    supv = np.zeros((tree.n_vertices, tree.n_leaves), dtype=np.int32)
+    for v in range(1, tree.n_vertices):
         s, e = tree.leaf_ranges[v]
-        supv[v] = sup2[s]
+        supv[v] = supv[tree.parent[v]]
         supv[v, s:e] = v
     return supv
+
+
+def dense_check_refusal(check: str, tree: BallTree) -> str | None:
+    """Why the dense ``"eigen"`` or ``"interaction"`` check does not fit
+    ``tree``, or None.  Interaction stops above ``DEFAULT_LEAF_CAP`` leaves;
+    eigen above ``MAX_EIGEN_CHECK_BYTES`` of L x L tables, 36 L^2 B: the int32
+    sup table, then a complex kernel gather and difference per wavelet."""
+    L = tree.n_leaves
+    if check == "interaction" and L > DEFAULT_LEAF_CAP:
+        return f"{L} leaves exceeds the direct-sum cap of {DEFAULT_LEAF_CAP}"
+    if check == "eigen" and 36 * L * L > MAX_EIGEN_CHECK_BYTES:
+        return (f"{L} leaves need {36 * L * L / 2**30:.3g} GiB of dense tables, "
+                f"above the cap of {MAX_EIGEN_CHECK_BYTES / 2**30:g} GiB")
+    return None
 
 
 def random_tree(
@@ -133,6 +153,8 @@ def eigen_check(kernel: Kernel, basis: WaveletBasis) -> float:
     The operator side goes through ``apply_pdo_direct``, the literal
     leaf-pair sum; the eigenvalue side through the ancestor-sum formula.
     """
+    if reason := dense_check_refusal("eigen", basis.tree):
+        raise ValueError(f"eigen check: {reason}")
     worst = 0.0
     sup = leaf_sup_table(basis.tree)
     for vertex, j in basis.slots:
@@ -143,11 +165,7 @@ def eigen_check(kernel: Kernel, basis: WaveletBasis) -> float:
     return worst
 
 
-def interaction_check(
-    kernel: Kernel,
-    basis: WaveletBasis,
-    max_leaves: int = DEFAULT_LEAF_CAP,
-) -> tuple[float, int]:
+def interaction_check(kernel: Kernel, basis: WaveletBasis) -> tuple[float, int]:
     """Worst deviation of the interaction integral from its closed form,
     over every ordered wavelet pair of the basis.
 
@@ -161,20 +179,18 @@ def interaction_check(
     dense products instead of a quadratic number of triple sums.
     """
     tree = basis.tree
+    if reason := dense_check_refusal("interaction", tree):
+        raise ValueError(f"interaction check: {reason}")
     L = tree.n_leaves
-    if L > max_leaves:
-        raise ValueError(
-            f"tree has {L} leaves, above the sweep cap of {max_leaves}"
-        )
     nu = tree.measure[tree.leaves]
     Psi = np.array([basis.leaf_values(v, j) for v, j in basis.slots])
     n_slots = basis.n_slots
 
     # inner[s, v] = sum_b value(sup(v, b)) psi_s(b) nu(b)
-    kernel_vl = kernel.values[vertex_leaf_sup_table(tree)]
-    inner = (Psi * nu) @ kernel_vl.T
+    supv = vertex_leaf_sup_table(tree)
+    inner = (Psi * nu) @ kernel.values[supv].T
     # S[s, a, c] = sum_b value(sup3(a, b, c)) psi_s(b) nu(b)
-    S = inner[:, leaf_sup_table(tree)]
+    S = inner[:, supv[tree.leaves]]
     row = S @ nu
     # direct[p, a, q] = triple sum with phi = wavelet p, psi = wavelet q
     direct = (S.reshape(n_slots * L, L) @ (Psi * nu).T).reshape(

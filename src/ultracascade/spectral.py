@@ -14,8 +14,9 @@ also ships two direct evaluators, ``apply_pdo_direct`` and
 ``interaction_integral_direct``, which compute the underlying integrals as
 literal sums over leaf cells with no use of the closed forms; tests compare
 the two routes everywhere.  They cost O(L^2) per call and are oracles
-only: the leaf solver evaluates the same integrals by O(V) tree sweeps
-(``solver.leaf_rhs``), which tests compare against them.
+only: the leaf solver evaluates the same integrals by tree sweeps
+(``solver.leaf_rhs``), O(V) per subtree sum and O(L * depth) per
+root-path sum, which tests compare against them.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ __all__ = [
     "DEFAULT_LEAF_CAP",
 ]
 
-# the dense oracles (interaction_integral_direct, oracles.interaction_check)
-# refuse larger trees unless told otherwise; no solver has a leaf cap
+# the dense triple sums (interaction_integral_direct, oracles.interaction_check)
+# refuse larger trees; no solver has a leaf cap
 DEFAULT_LEAF_CAP = 100
 
 
@@ -245,7 +246,7 @@ def interaction_integral_direct(
     The cost grows cubically with the leaf count, so trees larger than
     ``max_leaves`` are refused.
     """
-    from .oracles import leaf_sup_table, vertex_leaf_sup_table
+    from .oracles import vertex_leaf_sup_table
 
     tree = kernel.tree
     check_same_tree(tree, phi, psi,
@@ -258,8 +259,8 @@ def interaction_integral_direct(
     nu = phi.leaf_measures
     # inner contraction over b: S[a, c] = sum_b value(sup3(a,b,c)) phi(b) nu(b);
     # sup3(a,b,c) = sup(sup(a,c), b), so S factors through the sup tables
-    kernel_by_vertex_leaf = kernel.values[vertex_leaf_sup_table(tree)]
-    inner = kernel_by_vertex_leaf @ (phi.values * nu)
-    S = inner[leaf_sup_table(tree)]
+    supv = vertex_leaf_sup_table(tree)
+    inner = kernel.values[supv] @ (phi.values * nu)
+    S = inner[supv[tree.leaves]]
     diff = psi.values[None, :] - psi.values[:, None]
     return LeafField(tree, np.einsum("ac,ac,c->a", S, diff, nu))

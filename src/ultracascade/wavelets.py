@@ -243,9 +243,6 @@ class WaveletBasis:
             acc[verts] += acc[parent]
         return acc[tree.leaves]
 
-    def slot_label(self, vertex: int, j: int) -> str:
-        return self.labels[self.slot_of(vertex, j)]
-
     def has_slot(self, vertex: int, j: int) -> bool:
         vertex, j = int(vertex), int(j)
         return (0 <= vertex < len(self._first_slot)

@@ -478,6 +478,81 @@ def test_cli_validate_rejects_grid_that_run_rejects(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def oversized_check_config(depth: int, flag: str) -> dict:
+    raw = minimal_config()
+    raw["tree"] = {"p": 2, "depth": depth}
+    raw["solver"], raw["t_end"] = "all", 0.5
+    raw["oracles"] = {flag: True}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "depth, flag, cap",
+    [(7, "check_phi", "the direct-sum cap of 100"),
+     (13, "check_eigen", "the cap of 1 GiB")],
+    ids=["phi-128-leaves", "eigen-8192-leaves"],
+)
+def test_cli_validate_refuses_oversized_check_that_run_refuses(
+    tmp_path, capsys, monkeypatch, depth, flag, cap
+):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(oversized_check_config(depth, flag)),
+                    encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"invalid: oracles.{flag}: ")
+    assert cap in captured.out and len(captured.out.splitlines()) == 1
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the flag")
+
+    monkeypatch.setattr(cli, "solve_all", no_solve)
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: oracles.{flag}: ")
+    assert cap in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_oracle_skips_interaction_check_above_leaf_cap(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(oversized_check_config(7, "check_phi")),
+                    encoding="utf-8")
+    assert cli.main(["oracle", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("eigenvalue check:") and lines[0].endswith("PASS")
+    assert lines[1] == (
+        "interaction check: skipped (128 leaves exceeds the direct-sum cap of 100)"
+    )
+    assert lines[2].startswith("solver check:") and lines[2].endswith("PASS")
+
+
+def test_cli_oracle_skips_both_dense_checks_on_8192_leaves(tmp_path, capsys):
+    raw = oversized_check_config(13, "check_eigen")
+    raw["t_end"] = raw["dt"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = cli.main(["oracle", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2 ** 20
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[:2] == [
+        "eigenvalue check: skipped (8192 leaves need 2.25 GiB of dense "
+        "tables, above the cap of 1 GiB)",
+        "interaction check: skipped (8192 leaves exceeds the direct-sum cap "
+        "of 100)",
+    ]
+    assert len(lines) == 3
+    assert lines[2].startswith("solver check:") and lines[2].endswith("PASS")
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_run_refuses_output_name_collisions(
     tmp_path, scenario_dir, capsys, jobs

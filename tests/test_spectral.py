@@ -292,6 +292,44 @@ def test_integral_refuses_large_trees():
     assert np.all(out.values == 0)
 
 
+def test_interaction_check_builds_one_sup_table(monkeypatch):
+    rng = np.random.default_rng(163)
+    tree = uc.random_tree(rng, max_leaves=40)
+    basis = uc.build_basis(tree)
+    kernel = uc.random_kernel(tree, rng)
+    expected = uc.interaction_check(kernel, basis)
+    real, built = uc.oracles.vertex_leaf_sup_table, []
+    monkeypatch.setattr(uc.oracles, "vertex_leaf_sup_table",
+                        lambda t: built.append(t) or real(t))
+    monkeypatch.setattr(uc.oracles, "leaf_sup_table", None)
+    assert uc.interaction_check(kernel, basis) == expected
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "p, depth, eigen_fits, interaction_fits",
+    [(10, 2, True, True), (101, 1, True, False), (2, 12, True, False),
+     (2, 13, False, False)],
+)
+def test_dense_check_refusal_gates_on_leaves(p, depth, eigen_fits,
+                                             interaction_fits):
+    tree = uc.build_tree({"p": p, "depth": depth})
+    eigen = uc.oracles.dense_check_refusal("eigen", tree)
+    interaction = uc.oracles.dense_check_refusal("interaction", tree)
+    assert (eigen is None) == eigen_fits
+    assert (interaction is None) == interaction_fits
+    if not eigen_fits:
+        assert uc.oracles.MAX_EIGEN_CHECK_BYTES < 36 * tree.n_leaves ** 2
+    basis = uc.build_basis(tree)
+    kernel = uc.Kernel.constant(tree, 1.0)
+    if not interaction_fits:
+        with pytest.raises(ValueError, match=r"interaction check: .* cap of 100"):
+            uc.interaction_check(kernel, basis)
+    if not eigen_fits:
+        with pytest.raises(ValueError, match=r"eigen check: .* cap of 1 GiB"):
+            uc.eigen_check(kernel, basis)
+
+
 def test_interaction_check_agrees_with_per_pair_loop():
     rng = np.random.default_rng(149)
     tree = uc.random_tree(rng, max_leaves=20)
