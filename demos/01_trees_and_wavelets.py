@@ -12,6 +12,7 @@ supports.
 import numpy as np
 
 import ultracascade as uc
+from ultracascade import oracles
 
 
 def show(label, value):
@@ -25,11 +26,11 @@ show("total measure", tree.total_measure)
 show("leaf labels", [tree.label(v) for v in tree.leaves[:4]] + ["..."])
 
 a, b, c = (int(v) for v in tree.leaves[:3])
-show("distance(first, second leaf)", tree.leaf_distance(a, b))
-show("distance(first, third leaf)", tree.leaf_distance(a, c))
+show("distance(first, second leaf)", oracles.leaf_distance(tree, a, b))
+show("distance(first, third leaf)", oracles.leaf_distance(tree, a, c))
 print("  the strong triangle inequality makes every triangle isoceles:")
-show("  max of the other two sides", max(tree.leaf_distance(a, c),
-                                         tree.leaf_distance(b, c)))
+show("  max of the other two sides", max(oracles.leaf_distance(tree, a, c),
+                                         oracles.leaf_distance(tree, b, c)))
 
 print()
 print("== an uneven space from the explicit form ==")
@@ -43,7 +44,7 @@ spec = {
 uneven = uc.build_tree(spec)
 show("leaf measures", [float(m) for m in uneven.measure[uneven.leaves]])
 show("ball '0' measure (derived)", float(uneven.measure[uneven.vertex("0")]))
-sup = uneven.sup(uneven.vertex("0.0"), uneven.vertex("1"))
+sup = oracles.sup(uneven, uneven.vertex("0.0"), uneven.vertex("1"))
 name = repr(uneven.label(sup)) + ("  (the root)" if sup == uneven.root else "")
 show("smallest ball holding '0.0' and '1'", name)
 

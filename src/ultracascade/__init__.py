@@ -20,8 +20,10 @@ from .config import (
 )
 from .oracles import (
     CROSS_SOLVER_TOL,
+    DEFAULT_LEAF_CAP,
     EIGEN_TOL,
     INTERACTION_TOL,
+    ancestor_value,
     eigen_check,
     interaction_check,
     random_kernel,
@@ -43,7 +45,6 @@ from .solver import (
     time_grid,
 )
 from .spectral import (
-    DEFAULT_LEAF_CAP,
     Kernel,
     apply_pdo_direct,
     eigenvalue,
@@ -58,7 +59,6 @@ from .wavelets import (
     WaveletBasis,
     WaveletField,
     analyze,
-    ancestor_value,
     build_basis,
     synthesize,
 )

@@ -300,7 +300,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"no *.json scenario files in {config}")
     _check_output_collisions(files, args.out_dir)
     if config.is_dir():
-        jobs = max(1, args.jobs)
+        # a fork-context pool starts every worker at its first submit
+        jobs = max(1, min(args.jobs, len(files)))
         work = [(str(p), str(args.out_dir) if args.out_dir else None)
                 for p in files]
         if jobs == 1:

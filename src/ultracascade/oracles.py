@@ -1,29 +1,31 @@
-"""Randomized sweep checks pitting closed forms against direct quadrature.
+"""Brute-force references for the closed forms, the sweeps that use them,
+and every size limit of the dense checks.
 
-Two claims carry the whole library:
+Two claims carry the whole library: every wavelet is an eigenfunction of
+the kernel operator, with the eigenvalue given by the ancestor-sum
+formula, and the interaction integral of two wavelets collapses pointwise
+to the product of the wavelets times one coefficient.  ``eigen_check``
+and ``interaction_check`` measure the worst deviation of those claims on
+one tree/basis/kernel triple by direct summation over leaf cells; the
+second batches all wavelet pairs through shared contractions and matches
+the per-pair ``spectral.interaction_integral_direct`` to rounding.
+``random_tree`` and ``random_kernel`` supply randomized inputs.
 
-* every wavelet is an eigenfunction of the kernel operator, with the
-  eigenvalue given by the ancestor-sum formula, and
-* the interaction integral of two wavelets collapses to (pointwise)
-  the product of the wavelets times a single coefficient.
-
-``eigen_check`` and ``interaction_check`` measure the worst deviation of
-those claims on one tree/basis/kernel triple, evaluating the integrals by
-direct summation over leaf cells; ``dense_check_refusal`` says when a tree
-is too big for them.  ``random_tree`` and ``random_kernel`` supply the
-randomized inputs for sweeps.  The interaction check batches all wavelet
-pairs through shared contractions; ``interaction_integral_direct`` remains
-the per-pair reference, and the batched path matches it to rounding.
+``dense_check_refusal`` is the one place a tree is compared against the
+caps ``DEFAULT_LEAF_CAP`` and ``MAX_EIGEN_CHECK_BYTES``; the dense
+quadratures of ``spectral`` call it before they build anything.  The
+scalar walks ``sup``, ``ancestors``, ``is_strict_ancestor``,
+``child_toward``, ``leaf_distance`` and ``ancestor_value`` are per-pair
+references for the sup tables and the tests; no solver route calls them.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from .spectral import (
-    DEFAULT_LEAF_CAP,
     Kernel,
     apply_pdo_direct,
     eigenvalue,
@@ -33,6 +35,12 @@ from .tree import BallTree, build_tree
 from .wavelets import WaveletBasis
 
 __all__ = [
+    "sup",
+    "ancestors",
+    "is_strict_ancestor",
+    "child_toward",
+    "leaf_distance",
+    "ancestor_value",
     "leaf_sup_table",
     "vertex_leaf_sup_table",
     "random_tree",
@@ -40,6 +48,7 @@ __all__ = [
     "dense_check_refusal",
     "eigen_check",
     "interaction_check",
+    "DEFAULT_LEAF_CAP",
     "MAX_EIGEN_CHECK_BYTES",
     "EIGEN_TOL",
     "INTERACTION_TOL",
@@ -51,8 +60,72 @@ EIGEN_TOL = 1e-12
 INTERACTION_TOL = 1e-11
 CROSS_SOLVER_TOL = 1e-5
 
-# the eigen check's L x L tables stop here: 4096 leaves fit, 8192 do not
+# the dense triple sums (interaction_integral_direct, interaction_check)
+# refuse larger trees; no solver has a leaf cap
+DEFAULT_LEAF_CAP = 100
+
+# the L x L tables of the operator sum (apply_pdo_direct, eigen_check)
+# stop here: 4096 leaves fit, 8192 do not
 MAX_EIGEN_CHECK_BYTES = 1 << 30
+
+
+def sup(tree: BallTree, a: int, b: int) -> int:
+    """Smallest ball containing both ``a`` and ``b`` (sup(a, a) == a)."""
+    a, b = tree._check(a), tree._check(b)
+    while tree.depth[a] > tree.depth[b]:
+        a = tree.parent[a]
+    while tree.depth[b] > tree.depth[a]:
+        b = tree.parent[b]
+    while a != b:
+        a, b = tree.parent[a], tree.parent[b]
+    return int(a)
+
+
+def ancestors(tree: BallTree, v: int) -> Iterator[int]:
+    """Strict ancestors of ``v``, from parent up to the root."""
+    v = tree._check(v)
+    while tree.parent[v] != -1:
+        v = int(tree.parent[v])
+        yield v
+
+
+def is_strict_ancestor(tree: BallTree, anc: int, v: int) -> bool:
+    """Whether ``v`` lies strictly below ``anc``."""
+    return sup(tree, anc, v) == anc != v
+
+
+def child_toward(tree: BallTree, anc: int, v: int) -> int:
+    """Child of ``anc`` whose subtree contains ``v`` (requires v < anc)."""
+    anc, v = tree._check(anc), tree._check(v)
+    while tree.depth[v] > tree.depth[anc] + 1:
+        v = tree.parent[v]
+    if tree.depth[v] <= tree.depth[anc] or tree.parent[v] != anc:
+        raise ValueError(
+            f"{tree.label(v)!r} is not strictly below {tree.label(anc)!r}"
+        )
+    return int(v)
+
+
+def leaf_distance(tree: BallTree, a: int, b: int) -> float:
+    """Ultrametric distance between two leaves: diameter of their sup."""
+    if a == b:
+        return 0.0
+    return float(tree.diameter[sup(tree, a, b)])
+
+
+def ancestor_value(basis: WaveletBasis, J: int, j: int, I: int) -> complex:
+    """Constant value of wavelet (J, j) on the ball I strictly below J.
+
+    Wavelets are constant on every ball strictly below their own, so the
+    value is the coefficient of the child of J on the path to I.
+    """
+    tree = basis.tree
+    child = child_toward(tree, J, I)
+    if not basis.has_slot(J, j):
+        raise ValueError(
+            f"wavelet index {j} out of range for vertex {tree.label(J)!r}"
+        )
+    return complex(basis.slot_coeffs[basis.slot_of(J, j), tree.child_slot[child]])
 
 
 def leaf_sup_table(tree: BallTree) -> np.ndarray:

@@ -13,10 +13,11 @@ Both have closed forms as finite sums over the ancestor chain.  The module
 also ships two direct evaluators, ``apply_pdo_direct`` and
 ``interaction_integral_direct``, which compute the underlying integrals as
 literal sums over leaf cells with no use of the closed forms; tests compare
-the two routes everywhere.  They cost O(L^2) per call and are oracles
-only: the leaf solver evaluates the same integrals by tree sweeps
-(``solver.leaf_rhs``), O(V) per subtree sum and O(L * depth) per
-root-path sum, which tests compare against them.
+the two routes everywhere.  They build O(L^2) and O(V * L) tables and are
+oracles only: each first asks ``oracles.dense_check_refusal`` whether
+the tree fits, and raises its reason if not.  The leaf solver evaluates
+the same integrals by tree sweeps (``solver.leaf_rhs``), O(V) per subtree
+sum and O(L * depth) per root-path sum, which tests compare against them.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ __all__ = [
     "interaction_table",
     "apply_pdo_direct",
     "interaction_integral_direct",
-    "DEFAULT_LEAF_CAP",
 ]
-
-# the dense triple sums (interaction_integral_direct, oracles.interaction_check)
-# refuse larger trees; no solver has a leaf cap
-DEFAULT_LEAF_CAP = 100
 
 
 class Kernel:
@@ -127,8 +123,10 @@ def eigenvalue(kernel: Kernel, I: int) -> complex:
             f"{tree.label(I)!r} is a leaf"
         )
     total = kernel.values[I] * tree.measure[I]
-    for J in tree.ancestors(I):
-        total += kernel.values[J] * (tree.measure[J] - tree.measure_toward(J, I))
+    child, J = I, int(tree.parent[I])
+    while J != -1:
+        total += kernel.values[J] * (tree.measure[J] - tree.measure[child])
+        child, J = J, int(tree.parent[J])
     return complex(total)
 
 
@@ -166,16 +164,14 @@ def interaction_coefficient(kernel: Kernel, outer: int, inner: int) -> complex:
     exact zero rather than a rounding residue.
     """
     tree = kernel.tree
-    outer, inner = int(outer), int(inner)
-    if not tree.is_strict_ancestor(outer, inner):
-        return 0j
+    outer, inner = tree._check(outer), tree._check(inner)
     total = 0j
     cur = inner
-    while cur != outer:
+    while tree.depth[cur] > tree.depth[outer]:
         par = int(tree.parent[cur])
         total += tree.measure[cur] ** 2 * (kernel.values[par] - kernel.values[cur])
         cur = par
-    return complex(total)
+    return complex(total) if cur == outer else 0j
 
 
 def interaction_table(kernel: Kernel) -> np.ndarray:
@@ -213,11 +209,16 @@ def apply_pdo_direct(
     because every summand carries the factor ``f(a) - f(b)``.  A caller
     that applies many fields passes ``sup``, the tree's
     ``oracles.leaf_sup_table``, so the O(V + L^2) table is built once.
+    Trees that ``oracles.dense_check_refusal("eigen", tree)`` refuses are
+    refused here, before any table is built.
     """
-    from .oracles import leaf_sup_table  # the dense tables are oracle-only
+    # the dense tables and their size gate are oracle-only
+    from .oracles import dense_check_refusal, leaf_sup_table
 
     tree = kernel.tree
     check_same_tree(tree, f, message="kernel and field belong to different trees")
+    if reason := dense_check_refusal("eigen", tree):
+        raise ValueError(reason)
     K = kernel.values[leaf_sup_table(tree) if sup is None else sup]
     diff = f.values[:, None] - f.values[None, :]
     nu = f.leaf_measures
@@ -228,7 +229,6 @@ def interaction_integral_direct(
     kernel: Kernel,
     phi: LeafField,
     psi: LeafField,
-    max_leaves: int = DEFAULT_LEAF_CAP,
 ) -> LeafField:
     """Quadratic interaction integral evaluated as a literal leaf-cell sum.
 
@@ -243,19 +243,17 @@ def interaction_integral_direct(
     containing the ball of psi, the result equals psi * phi * coefficient
     pointwise.
 
-    The cost grows cubically with the leaf count, so trees larger than
-    ``max_leaves`` are refused.
+    The cost grows cubically with the leaf count, so trees that
+    ``oracles.dense_check_refusal("interaction", tree)`` refuses, those
+    above ``oracles.DEFAULT_LEAF_CAP`` leaves, are refused here.
     """
-    from .oracles import vertex_leaf_sup_table
+    from .oracles import dense_check_refusal, vertex_leaf_sup_table
 
     tree = kernel.tree
     check_same_tree(tree, phi, psi,
                     message="kernel and fields belong to different trees")
-    if tree.n_leaves > max_leaves:
-        raise ValueError(
-            f"tree has {tree.n_leaves} leaves, above the cap of {max_leaves} "
-            "for direct triple sums; raise max_leaves to force it"
-        )
+    if reason := dense_check_refusal("interaction", tree):
+        raise ValueError(reason)
     nu = phi.leaf_measures
     # inner contraction over b: S[a, c] = sum_b value(sup3(a,b,c)) phi(b) nu(b);
     # sup3(a,b,c) = sup(sup(a,c), b), so S factors through the sup tables

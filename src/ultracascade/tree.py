@@ -20,6 +20,9 @@ p-adic tree and by one walk over an explicit nested spec.  The (V, p_max)
 on first use; the tuple-of-tuples ``children`` and the root-path
 ``labels`` cost O(V) Python and are built only when asked for, which
 ``build_scenario`` on a shorthand tree never does.
+
+No solver needs scalar walks such as the sup of two balls, so they live
+in ``oracles``, beside the sup tables they are the references for.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -279,62 +282,6 @@ class BallTree:
         if not (0 <= v < self.n_vertices):
             raise ValueError(f"invalid vertex id {v}")
         return v
-
-    # -- lattice operations -------------------------------------------------
-
-    def sup(self, a: int, b: int) -> int:
-        """Smallest ball containing both ``a`` and ``b`` (sup(a, a) == a)."""
-        a, b = self._check(a), self._check(b)
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        while a != b:
-            a, b = self.parent[a], self.parent[b]
-        return int(a)
-
-    def sup3(self, a: int, b: int, c: int) -> int:
-        return self.sup(self.sup(a, b), c)
-
-    def ancestors(self, v: int) -> Iterable[int]:
-        """Strict ancestors of ``v``, from parent up to the root."""
-        v = self._check(v)
-        while self.parent[v] != -1:
-            v = int(self.parent[v])
-            yield v
-
-    def is_strict_ancestor(self, anc: int, v: int) -> bool:
-        anc, v = self._check(anc), self._check(v)
-        if self.depth[v] <= self.depth[anc]:
-            return False
-        while self.depth[v] > self.depth[anc]:
-            v = self.parent[v]
-        return v == anc
-
-    def child_toward(self, anc: int, v: int) -> int:
-        """Child of ``anc`` whose subtree contains ``v`` (requires v < anc)."""
-        anc, v = self._check(anc), self._check(v)
-        if self.depth[v] <= self.depth[anc]:
-            raise ValueError(
-                f"{self.label(v)!r} is not strictly below {self.label(anc)!r}"
-            )
-        while self.depth[v] > self.depth[anc] + 1:
-            v = self.parent[v]
-        if self.parent[v] != anc:
-            raise ValueError(
-                f"{self.label(v)!r} is not strictly below {self.label(anc)!r}"
-            )
-        return int(v)
-
-    def measure_toward(self, anc: int, v: int) -> float:
-        """Measure of the maximal subball of ``anc`` that contains ``v``."""
-        return float(self.measure[self.child_toward(anc, v)])
-
-    def leaf_distance(self, a: int, b: int) -> float:
-        """Ultrametric distance between two leaves: diameter of their sup."""
-        if a == b:
-            return 0.0
-        return float(self.diameter[self.sup(a, b)])
 
     # -- root-path table (the leaf-route sweeps and the coefficient layout) --
 

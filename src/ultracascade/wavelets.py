@@ -45,7 +45,6 @@ __all__ = [
     "build_basis",
     "analyze",
     "synthesize",
-    "ancestor_value",
 ]
 
 SCHEMES = ("gram-schmidt", "roots-of-unity")
@@ -451,18 +450,3 @@ def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
 def synthesize(v: WaveletField) -> LeafField:
     """Sum the wavelet expansion back into leaf values."""
     return LeafField(v.basis.tree, v.basis.synthesize_array(v.dense()))
-
-
-def ancestor_value(basis: WaveletBasis, J: int, j: int, I: int) -> complex:
-    """Constant value of wavelet (J, j) on the ball I strictly below J.
-
-    Wavelets are constant on every ball strictly below their own, so the
-    value is the coefficient of the child of J on the path to I.
-    """
-    tree = basis.tree
-    child = tree.child_toward(J, I)
-    if not basis.has_slot(J, j):
-        raise ValueError(
-            f"wavelet index {j} out of range for vertex {tree.label(J)!r}"
-        )
-    return complex(basis.slot_coeffs[basis.slot_of(J, j), tree.child_slot[child]])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import ultracascade as uc
-from ultracascade import cli
+from ultracascade import cli, oracles
 
 from conftest import (
     dense_basis_matrix,
@@ -314,7 +314,7 @@ def test_constant_kernel_decoupling():
         ):
             for outer in tree.internal:
                 for inner in range(tree.n_vertices):
-                    if tree.is_strict_ancestor(outer, inner):
+                    if oracles.is_strict_ancestor(tree, outer, inner):
                         value = uc.interaction_coefficient(kernel, outer, inner)
                         all_zero &= value == 0j
                         checked += 1

@@ -270,6 +270,67 @@ def test_cli_run_directory_parallel_matches_serial(tmp_path, scenario_dir):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+def test_cli_run_starts_no_more_workers_than_files(
+    tmp_path, scenario_dir, monkeypatch
+):
+    """A fork-context pool starts all its workers at the first submit, so
+    ``--jobs`` is capped at the file count; the pool here runs in-process."""
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert cli.main([
+        "run", str(scenario_dir), "--out-dir", str(tmp_path), "--jobs", "5000",
+    ]) == 0
+    assert asked == [2]
+    assert len(list(tmp_path.iterdir())) == 6
+
+
+def test_validate_and_run_call_no_oracle_code(tmp_path, monkeypatch):
+    """The production path calls no oracle: with every public callable of
+    ``oracles`` and the four references of ``spectral`` rebound to raise,
+    in every package module that holds them, ``validate`` and ``run`` on
+    all three solver routes still succeed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the production path called oracle code")
+
+    names = ("apply_pdo_direct", "interaction_integral_direct",
+             "eigenvalue", "interaction_coefficient")
+    targets = [getattr(uc.oracles, name) for name in uc.oracles.__all__]
+    targets += [getattr(uc.spectral, name) for name in names]
+    targets = [t for t in targets if callable(t)]
+    modules = [m for name, m in sys.modules.items()
+               if name == "ultracascade" or name.startswith("ultracascade.")]
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if any(value is t for t in targets):
+                monkeypatch.setattr(module, key, refuse)
+    assert uc.oracles.sup is refuse and uc.spectral.eigenvalue is refuse
+
+    config = minimal_config()
+    config.update(tree={"p": 2, "depth": 6}, solver="all", t_end=0.1,
+                  initial={"wavelets": [["", 0, 0.5, 0.0], ["0.1", 0, 0.3, 0.1]]})
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_cli_run_empty_directory_is_config_error(tmp_path):
     assert cli.main(["run", str(tmp_path)]) == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ultracascade as uc
+from ultracascade import oracles
 from ultracascade.solver import STEP_ERROR_TOL, _coefficient_rhs
 
 from conftest import (
@@ -74,7 +75,7 @@ def test_assemble_couplings_match_pairwise_formula():
             expected = []
             if tree.is_internal(v):
                 branchings.add(tree.n_children(v))
-                for anc in tree.ancestors(v):
+                for anc in oracles.ancestors(tree, v):
                     coeff = uc.interaction_coefficient(interaction, anc, v)
                     for jp in range(tree.n_children(anc) - 1):
                         w = uc.ancestor_value(basis, anc, jp, v) * coeff
@@ -104,7 +105,7 @@ def test_coupling_matrix_is_triangular_in_depth():
     for i, (vi, _) in enumerate(system.slots):
         for a, (va, _) in enumerate(system.slots):
             if W[i, a] != 0:
-                assert tree.is_strict_ancestor(va, vi)
+                assert oracles.is_strict_ancestor(tree, va, vi)
 
 
 def test_assemble_rejects_foreign_pieces():

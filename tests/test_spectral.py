@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ultracascade as uc
+from ultracascade import oracles
 
 from conftest import random_mean_zero_field
 
@@ -17,13 +18,14 @@ def closed_form_coefficient(kernel, outer, inner):
     strictly intermediate balls.  Independent of the chain accumulation
     used by the library."""
     tree = kernel.tree
-    total = tree.measure_toward(outer, inner) ** 2 * kernel.value(outer)
+    toward = oracles.child_toward
+    total = tree.measure[toward(tree, outer, inner)] ** 2 * kernel.value(outer)
     total -= tree.measure[inner] ** 2 * kernel.value(inner)
-    for L in tree.ancestors(inner):
+    for L in oracles.ancestors(tree, inner):
         if L == outer:
             break
         total -= (
-            tree.measure[L] ** 2 - tree.measure_toward(L, inner) ** 2
+            tree.measure[L] ** 2 - tree.measure[toward(tree, L, inner)] ** 2
         ) * kernel.value(L)
     return total
 
@@ -133,7 +135,7 @@ def test_constant_kernel_gives_exact_zero_coupling():
     ):
         for outer in tree.internal:
             for inner in range(tree.n_vertices):
-                if tree.is_strict_ancestor(outer, inner):
+                if oracles.is_strict_ancestor(tree, outer, inner):
                     assert uc.interaction_coefficient(kernel, outer, inner) == 0j
         assert np.all(uc.interaction_table(kernel) == 0)
 
@@ -157,7 +159,7 @@ def test_interaction_matches_closed_form():
         kernel = uc.random_kernel(tree, rng)
         for outer in tree.internal:
             for inner in range(tree.n_vertices):
-                if not tree.is_strict_ancestor(outer, inner):
+                if not oracles.is_strict_ancestor(tree, outer, inner):
                     continue
                 got = uc.interaction_coefficient(kernel, outer, inner)
                 want = closed_form_coefficient(kernel, outer, inner)
@@ -198,7 +200,7 @@ def test_interaction_table_matches_pointwise_exactly():
         assert table.shape == paths.shape
         pairs = 0
         for inner in range(tree.n_vertices):
-            ancestors = list(tree.ancestors(inner))
+            ancestors = list(oracles.ancestors(tree, inner))
             for j in range(paths.shape[1]):
                 if j >= len(ancestors):
                     assert table[inner, j] == 0  # padding
@@ -210,7 +212,7 @@ def test_interaction_table_matches_pointwise_exactly():
                     == np.array([want]).view(np.float64).tobytes()
                 pairs += 1
         assert pairs == sum(
-            tree.is_strict_ancestor(outer, inner)
+            oracles.is_strict_ancestor(tree, outer, inner)
             for outer in tree.internal
             for inner in range(tree.n_vertices)
         )
@@ -268,7 +270,8 @@ def test_integral_matches_naive_triple_loop():
     for ai, a in enumerate(tree.leaves):
         for ci, c in enumerate(tree.leaves):
             for bi, b in enumerate(tree.leaves):
-                w = kernel.value(tree.sup3(int(a), int(b), int(c)))
+                ab = oracles.sup(tree, int(a), int(b))
+                w = kernel.value(oracles.sup(tree, ab, int(c)))
                 naive[ai] += (
                     w
                     * phi.values[bi]
@@ -288,8 +291,26 @@ def test_integral_refuses_large_trees():
     f = uc.LeafField.zero(tree)
     with pytest.raises(ValueError, match="cap"):
         uc.interaction_integral_direct(kernel, f, f)
-    out = uc.interaction_integral_direct(kernel, f, f, max_leaves=128)
+    at_cap = uc.build_tree({"p": 10, "depth": 2})
+    assert at_cap.n_leaves == uc.DEFAULT_LEAF_CAP
+    f = uc.LeafField.zero(at_cap)
+    out = uc.interaction_integral_direct(uc.Kernel.constant(at_cap, 1.0), f, f)
     assert np.all(out.values == 0)
+
+
+def test_operator_sum_refuses_large_trees_before_allocating(monkeypatch):
+    """8,192 leaves need 2.25 GiB of L x L tables: refused before the sup
+    table is built."""
+
+    def no_table(tree):
+        raise AssertionError("leaf_sup_table built on an oversized tree")
+
+    monkeypatch.setattr(oracles, "leaf_sup_table", no_table)
+    tree = uc.build_tree({"p": 2, "depth": 13})
+    assert tree.n_leaves == 8192
+    f = uc.LeafField.zero(tree)
+    with pytest.raises(ValueError, match="2.25 GiB"):
+        uc.apply_pdo_direct(uc.Kernel.constant(tree, 1.0), f)
 
 
 def test_interaction_check_builds_one_sup_table(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultracascade as uc
+from ultracascade import oracles
 
 
 def test_padic_shorthand_binary_depth2():
@@ -92,11 +93,11 @@ def test_sup_identity_and_root_cases():
     tree = uc.build_tree({"p": 2, "depth": 2})
     a = tree.vertex("0.0")
     b = tree.vertex("1.1")
-    assert tree.sup(a, a) == a
-    assert tree.sup(a, b) == tree.root
-    assert tree.sup(a, tree.vertex("0.1")) == tree.vertex("0")
+    assert oracles.sup(tree, a, a) == a
+    assert oracles.sup(tree, a, b) == tree.root
+    assert oracles.sup(tree, a, tree.vertex("0.1")) == tree.vertex("0")
     # sup with an ancestor is the ancestor
-    assert tree.sup(a, tree.vertex("0")) == tree.vertex("0")
+    assert oracles.sup(tree, a, tree.vertex("0")) == tree.vertex("0")
 
 
 def test_sup3_permutation_invariant_exhaustive():
@@ -111,12 +112,12 @@ def test_sup3_permutation_invariant_exhaustive():
         for a in leaves:
             for b in leaves:
                 for c in leaves:
-                    ref = tree.sup3(a, b, c)
-                    assert tree.sup3(a, c, b) == ref
-                    assert tree.sup3(b, a, c) == ref
-                    assert tree.sup3(b, c, a) == ref
-                    assert tree.sup3(c, a, b) == ref
-                    assert tree.sup3(c, b, a) == ref
+                    ref = oracles.sup(tree, oracles.sup(tree, a, b), c)
+                    assert oracles.sup(tree, oracles.sup(tree, a, c), b) == ref
+                    assert oracles.sup(tree, oracles.sup(tree, b, a), c) == ref
+                    assert oracles.sup(tree, oracles.sup(tree, b, c), a) == ref
+                    assert oracles.sup(tree, oracles.sup(tree, c, a), b) == ref
+                    assert oracles.sup(tree, oracles.sup(tree, c, b), a) == ref
 
 
 def test_measure_toward_direct_child_and_uniform():
@@ -124,9 +125,9 @@ def test_measure_toward_direct_child_and_uniform():
     mid = tree.vertex("0")
     leaf = tree.vertex("1.0")
     # toward a direct child: the child's own measure
-    assert tree.measure_toward(tree.root, mid) == tree.measure[mid]
+    assert tree.measure[oracles.child_toward(tree, tree.root, mid)] == tree.measure[mid]
     # uniform binary split: either way from the root weighs one half
-    assert tree.measure_toward(tree.root, leaf) == 0.5
+    assert tree.measure[oracles.child_toward(tree, tree.root, leaf)] == 0.5
 
 
 def test_measure_toward_matches_path_walk():
@@ -134,7 +135,7 @@ def test_measure_toward_matches_path_walk():
     for _ in range(5):
         tree = uc.random_tree(rng, max_leaves=30)
         for v in range(1, tree.n_vertices):
-            for anc in tree.ancestors(v):
+            for anc in oracles.ancestors(tree, v):
                 # independent route: longest child label prefixing v's label
                 label = tree.labels[v]
                 on_path = [
@@ -143,25 +144,26 @@ def test_measure_toward_matches_path_walk():
                     or label.startswith(tree.labels[c] + ".")
                 ]
                 assert len(on_path) == 1
-                assert tree.measure_toward(anc, v) == tree.measure[on_path[0]]
+                child = oracles.child_toward(tree, anc, v)
+                assert tree.measure[child] == tree.measure[on_path[0]]
 
 
 def test_measure_toward_requires_strict_descendant():
     tree = uc.build_tree({"p": 2, "depth": 2})
     with pytest.raises(ValueError):
-        tree.measure_toward(tree.vertex("0"), tree.vertex("0"))
+        tree.measure[oracles.child_toward(tree, tree.vertex("0"), tree.vertex("0"))]
     with pytest.raises(ValueError):
-        tree.measure_toward(tree.vertex("0"), tree.vertex("1.0"))
+        tree.measure[oracles.child_toward(tree, tree.vertex("0"), tree.vertex("1.0"))]
     with pytest.raises(ValueError):
-        tree.measure_toward(tree.vertex("0.0"), tree.root)
+        tree.measure[oracles.child_toward(tree, tree.vertex("0.0"), tree.root)]
 
 
 def test_measure_toward_strictly_below_parent_measure():
     rng = np.random.default_rng(23)
     tree = uc.random_tree(rng, max_leaves=40)
     for v in range(1, tree.n_vertices):
-        for anc in tree.ancestors(v):
-            assert tree.measure_toward(anc, v) < tree.measure[anc]
+        for anc in oracles.ancestors(tree, v):
+            assert tree.measure[oracles.child_toward(tree, anc, v)] < tree.measure[anc]
 
 
 def test_leaf_distance_strong_triangle():
@@ -172,9 +174,10 @@ def test_leaf_distance_strong_triangle():
         for a in leaves:
             for b in leaves:
                 for c in leaves:
-                    dab = tree.leaf_distance(a, b)
+                    dab = oracles.leaf_distance(tree, a, b)
                     assert dab <= max(
-                        tree.leaf_distance(a, c), tree.leaf_distance(c, b)
+                        oracles.leaf_distance(tree, a, c),
+                        oracles.leaf_distance(tree, c, b),
                     ) or (a == b)
 
 
@@ -195,7 +198,7 @@ def test_leaf_sup_table_matches_pairwise_sup():
     leaves = [int(v) for v in tree.leaves]
     for i, a in enumerate(leaves):
         for j, b in enumerate(leaves):
-            assert table[i, j] == tree.sup(a, b)
+            assert table[i, j] == oracles.sup(tree, a, b)
 
 
 def test_vertex_leaf_sup_table_matches_pairwise_sup():
@@ -205,7 +208,7 @@ def test_vertex_leaf_sup_table_matches_pairwise_sup():
     leaves = [int(v) for v in tree.leaves]
     for v in range(tree.n_vertices):
         for j, b in enumerate(leaves):
-            assert table[v, j] == tree.sup(v, b)
+            assert table[v, j] == oracles.sup(tree, v, b)
 
 
 def test_root_path_table_lists_ancestors_below_root():
@@ -214,7 +217,7 @@ def test_root_path_table_lists_ancestors_below_root():
     table = tree.root_path_table()
     assert table.shape == (tree.n_vertices, tree.depth.max())
     for v in range(tree.n_vertices):
-        below_root = [v, *tree.ancestors(v)][:-1]
+        below_root = [v, *oracles.ancestors(tree, v)][:-1]
         expected = below_root + [0] * (table.shape[1] - len(below_root))
         assert table[v].tolist() == expected
 
@@ -256,4 +259,4 @@ def test_star_tree_measure_aggregation(measures):
     for a in leaves:
         for b in leaves:
             expected = 0.0 if a == b else tree.diameter[0]
-            assert tree.leaf_distance(a, b) == expected
+            assert oracles.leaf_distance(tree, a, b) == expected
