@@ -1,12 +1,14 @@
 """Golden outputs: every byte ``run`` writes, and the stdout of ``validate``
-and ``oracle``, on four fixed scenarios.
+and ``oracle``, on six fixed scenarios.
 
-The scenarios are the two bundled ones and the two of the benchmark's
-``crosscheck`` workload at seed 7, copied into ``golden/crosscheck_seed7``
-so that an edit of the benchmark's generator moves no golden.
-``golden/goldens.json`` holds, per scenario, the sha256 of each file
-``run`` writes and the exit code and stdout of ``validate`` and
-``oracle``.  Each ``*_summary.json`` is also kept verbatim beside it, so
+The scenarios are the two bundled ones, the two of the benchmark's
+``crosscheck`` workload at seed 7, copied into ``golden/crosscheck_seed7``,
+and ``p2d9_rk`` and ``p2d12_path10`` of its ``ladder`` workload at seed 7,
+copied into ``golden/ladder_seed7``, so that an edit of the benchmark's
+generator moves no golden.  ``golden/goldens.json`` holds, per scenario,
+the sha256 of each file ``run`` writes and the exit code and stdout of
+``validate`` and ``oracle``; the ladder scenarios skip ``oracle``, whose
+dense eigen check would take minutes on them.  Each ``*_summary.json`` is also kept verbatim beside it, so
 a mismatch there prints the keys that changed.
 
 The float bytes depend on the numpy build and the CPU as well as on the
