@@ -8,6 +8,7 @@ scenario config layer the CLI uses, ending with the files a run writes.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -70,12 +71,18 @@ with tempfile.TemporaryDirectory() as workdir:
 
     print()
     print("== and through the command line ==")
-    for argv in (["validate", str(path)],
-                 ["run", str(path), "--out-dir", str(work / "out")],
-                 ["oracle", str(path)]):
+    # relative paths from the work directory, so no temporary path is
+    # printed; the commands import the package this script imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(uc.__file__).resolve().parents[1]), env.get("PYTHONPATH"),
+    ]))
+    for argv in (["validate", path.name],
+                 ["run", path.name, "--out-dir", "out"],
+                 ["oracle", path.name]):
         proc = subprocess.run(
             [sys.executable, "-m", "ultracascade", *argv],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=work, env=env,
         )
         print(f"  $ ultracascade {' '.join(argv[:1])} ...   (exit {proc.returncode})")
         for line in proc.stdout.strip().splitlines():

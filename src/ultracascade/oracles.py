@@ -97,13 +97,14 @@ def is_strict_ancestor(tree: BallTree, anc: int, v: int) -> bool:
 def child_toward(tree: BallTree, anc: int, v: int) -> int:
     """Child of ``anc`` whose subtree contains ``v`` (requires v < anc)."""
     anc, v = tree._check(anc), tree._check(v)
-    while tree.depth[v] > tree.depth[anc] + 1:
-        v = tree.parent[v]
-    if tree.depth[v] <= tree.depth[anc] or tree.parent[v] != anc:
+    child = v
+    while tree.depth[child] > tree.depth[anc] + 1:
+        child = tree.parent[child]
+    if tree.depth[child] <= tree.depth[anc] or tree.parent[child] != anc:
         raise ValueError(
             f"{tree.label(v)!r} is not strictly below {tree.label(anc)!r}"
         )
-    return int(v)
+    return int(child)
 
 
 def leaf_distance(tree: BallTree, a: int, b: int) -> float:

@@ -17,6 +17,12 @@ slot.  The leaf route evaluates its right-hand side by exact tree
 sweeps: O(V) work per subtree-sum pass and O(L * depth) per root-path
 pass, V the vertex and L the leaf count.  The dense O(L^2) quadrature routines of
 ``spectral`` are test oracles only; no solver calls them.
+
+The rk and leaf routes share one RK4 march with a step-halving gauge:
+11 right-hand-side row evaluations per step.  On vectors of up to
+``STAGE_BLOCK`` / 3 values they go out as 4 stacked calls per step,
+each row bit-identical to a call of its own; longer vectors take 11
+one-row calls.
 """
 
 from __future__ import annotations
@@ -56,6 +62,14 @@ STEP_ERROR_TOL = 1e-3
 # vertices x time steps that one pass of solve_recurrent solves at once:
 # bounds its temporaries to a few times this many complex numbers
 RECURRENT_BLOCK = 1 << 12
+
+# most complex values (rows x row length) in one stacked right-hand-side
+# call of the rk4 march: its three-row stacks are used while 3 n fits,
+# and longer vectors go one row per call.  Stacking saves per-call
+# overhead and costs copies and broadcasts, and at p = 2 it broke even
+# near n = 1024: 0.80-0.87x the time per step at n = 511/512 and
+# 1.00-1.11x at n = 1023/1024, on both routes
+STAGE_BLOCK = 1 << 11
 
 # largest stored trajectory, in bytes of (steps + 1) x columns complex
 # numbers; checked before anything is allocated
@@ -306,10 +320,13 @@ def solve_recurrent(
     )
 
 
-def _rk4_step(
-    rhs: Callable, y: np.ndarray, h: float, k1: np.ndarray
+def _rk4_rows(
+    rhs: Callable, y: np.ndarray, h: np.ndarray, k1: np.ndarray
 ) -> np.ndarray:
-    """One classical RK4 step from y, given its first stage k1 = rhs(y)."""
+    """Classical RK4 steps from the rows of y, row i of size h[i] (an
+    (m, 1) column, or a number for a vector y), given their first stages
+    k1 = rhs(y).  Every row goes through the operations of a one-row step
+    in the same order, so it gets that step's values bit for bit."""
     k2 = rhs(y + (h / 2) * k1)
     k3 = rhs(y + (h / 2) * k2)
     k4 = rhs(y + h * k3)
@@ -322,23 +339,33 @@ def _integrate(
     """Classical one-step 4th-order march with a step-halving error gauge.
 
     Each step is also retaken as two half steps, which share the full
-    step's first stage: 11 right-hand-side evaluations per step.  For a
-    fourth-order method ``|y_full - y_half| / 15`` is the Richardson
+    step's first stage: 11 right-hand-side row evaluations per step.  For
+    a fourth-order method ``|y_full - y_half| / 15`` is the Richardson
     estimate of the error of the two-half-step solution, about 1/16 of the
     error of the full step.  The full-step result is kept all the same, so
     the reported figure understates the kept solution's local error by
     about that factor.  The largest estimate is returned, and a step whose
     estimate exceeds the tolerance aborts the run.
+
+    ``rhs`` takes a vector or an (m, n) stack of rows.  Step k's second
+    half step needs only its first, and step k + 1 only step k's full
+    step.  So while three rows hold at most ``STAGE_BLOCK`` values, those
+    three chains advance as the rows of one stack: a call on [y_mid,
+    y_full] gives step k's middle stage and step k + 1's first stage, and
+    three calls of three rows finish step k's second half step and step
+    k + 1's half and full steps: 4 calls per step.  Longer vectors take
+    the 11 evaluations one row per call.  Every row repeats a one-row
+    step's operations in its order, so values, estimates and aborts are
+    the same bit for bit either way, and step k is checked before anything
+    of step k + 1 is kept.  Overflow is not warned about: a step that
+    leaves the finite range aborts.
     """
     values = np.empty((len(grid), len(y0)), dtype=np.complex128)
     values[0] = y0
-    y = y0.copy()
     max_est = 0.0
-    for k in range(len(grid) - 1):
-        k1 = rhs(y)
-        y_full = _rk4_step(rhs, y, dt, k1)
-        y_mid = _rk4_step(rhs, y, dt / 2, k1)
-        y_half = _rk4_step(rhs, y_mid, dt / 2, rhs(y_mid))
+
+    def keep(k: int, y_full: np.ndarray, y_half: np.ndarray) -> None:
+        nonlocal max_est
         if not (np.all(np.isfinite(y_full)) and np.all(np.isfinite(y_half))):
             raise SolverAbort(
                 f"solution became non-finite near t={grid[k]:g}; reduce dt"
@@ -350,27 +377,73 @@ def _integrate(
                 f"step error estimate {est:.3e} exceeds {STEP_ERROR_TOL:g} "
                 f"at t={grid[k]:g}; dt={dt:g} is too large"
             )
-        y = y_full
-        if np.abs(y).max() > BLOWUP_LIMIT:
+        if np.abs(y_full).max() > BLOWUP_LIMIT:
             raise SolverAbort(
                 f"solution magnitude exceeded {BLOWUP_LIMIT:.0e} "
                 f"near t={grid[k + 1]:g}"
             )
-        values[k + 1] = y
+        values[k + 1] = y_full
+
+    steps = len(grid) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 3 * len(y0) > STAGE_BLOCK:
+            y = y0
+            for k in range(steps):
+                k1 = rhs(y)
+                y_full = _rk4_rows(rhs, y, dt, k1)
+                y_mid = _rk4_rows(rhs, y, dt / 2, k1)
+                keep(k, y_full, _rk4_rows(rhs, y_mid, dt / 2, rhs(y_mid)))
+                y = y_full
+            return values, max_est
+        # step sizes of the rows [second half of step k, first half of
+        # step k + 1, full step k + 1]
+        h = np.array([[dt / 2], [dt / 2], [dt]])
+        y = y0[None]
+        rows = _rk4_rows(rhs, y[[0, 0]], h[1:], rhs(y)[[0, 0]])
+        for k in range(steps):
+            y_full = rows[-1]
+            # the last step has no step k + 1 to start
+            base, pick = ((rows[-2:], [0, 1, 1]) if k + 1 < steps
+                          else (rows[-2:-1], [0]))
+            rows = _rk4_rows(rhs, base[pick], h[:len(pick)], rhs(base)[pick])
+            keep(k, y_full, rows[0])
     return values, max_est
 
 
+def _side_by_side(index: np.ndarray, m: int, stride: int) -> np.ndarray:
+    """m copies of an index array along its last axis, copy i shifted by
+    i * stride: the index layout of m disjoint copies of a structure."""
+    return np.concatenate([index + i * stride for i in range(m)], axis=-1)
+
+
 def _coefficient_rhs(system: CascadeSystem) -> Callable:
-    """dv/dt on slot vectors: one (K, N) gather-sum per call, O(N * K)."""
+    """dv/dt on slot vectors or (m, N) stacks of them: one (K, m * N)
+    gather-sum per call, O(m * N * K).  A stack is read as m disjoint
+    copies of the slot layout side by side, so every row gets the sums,
+    in the order, of a call on that row alone."""
     vertex = system.basis.slot_vertex
+    n = len(vertex)
     eta = system.eta[vertex]
     anc_slot = np.ascontiguousarray(system.anc_slot[:, vertex])
     weight = np.ascontiguousarray(system.weight[:, vertex])
+    # rows -> (anc_slot, weight, eta) for that many copies side by side
+    layouts = {1: (anc_slot, weight, eta)}
+
+    def layout(m: int) -> tuple:
+        if m not in layouts:
+            layouts[m] = (_side_by_side(anc_slot, m, n),
+                          np.tile(weight, m), np.tile(eta, m))
+        return layouts[m]
+
+    def gather_sum(y, anc, w, e):
+        drive = y.take(anc)
+        drive *= w
+        return -y * (e + drive.sum(axis=0))
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        drive = y.take(anc_slot)
-        drive *= weight
-        return -y * (eta + drive.sum(axis=0))
+        if y.ndim == 1:
+            return gather_sum(y, anc_slot, weight, eta)
+        return gather_sum(y.ravel(), *layout(len(y))).reshape(y.shape)
 
     return rhs
 
@@ -419,9 +492,16 @@ def _leaf_sweep(
     ``tree.root_path_table()``.  The operator annihilates constants, so
     it is applied to g = f - f[0]: a constant field gives g == 0 and an
     exact zero.  No wavelet or closed form is used.
+
+    ``f`` may also be an (m, L) stack of fields.  It is swept as m
+    disjoint copies of the tree side by side: every gather stays 1-D,
+    every root-path sum is a (D, m * V) sum over axis 0, and the cumsums
+    and f - f[0] restart on every row, so each row gets the values of a
+    call on it alone, bit for bit.
     """
     check_same_tree(tree, interaction, dissipation,
                     message="kernels must live on the field's tree")
+    n_v, n_l = tree.n_vertices, tree.n_leaves
     nu = tree.measure[tree.leaves]
     start = tree.leaf_ranges[:, 0].astype(np.intp)
     end = tree.leaf_ranges[:, 1].astype(np.intp)
@@ -437,22 +517,42 @@ def _leaf_sweep(
     k_f_up = k_f[up]
     k_g_up = dissipation.values[up]
     d_nu = tree.measure[up] - tree.measure
+    # rows -> the arrays above for that many disjoint copies of the tree
+    # side by side (vertex v of row i at i * V + v, leaf l at i * L + l),
+    # and a prefix-sum buffer with a row per copy
+    layouts = {1: (nu, start, end, up, paths, leaf_paths, k_f, k_f_up,
+                   k_g_up, d_nu, np.zeros((1, n_l + 1), dtype=np.complex128))}
 
-    prefix = np.zeros(tree.n_leaves + 1, dtype=np.complex128)
-
-    def subtree_sums(w: np.ndarray) -> np.ndarray:
-        np.add.accumulate(w, out=prefix[1:])
-        return prefix[end] - prefix[start]
+    def layout(m: int) -> tuple:
+        if m not in layouts:
+            layouts[m] = (
+                np.tile(nu, m), _side_by_side(start, m, n_l + 1),
+                _side_by_side(end, m, n_l + 1), _side_by_side(up, m, n_v),
+                _side_by_side(paths, m, n_v), _side_by_side(leaf_paths, m, n_v),
+                *(np.tile(a, m) for a in (k_f, k_f_up, k_g_up, d_nu)),
+                np.zeros((m, n_l + 1), dtype=np.complex128),
+            )
+        return layouts[m]
 
     def rhs(f: np.ndarray) -> np.ndarray:
-        phi = subtree_sums(f * nu)
+        rows = f.reshape(-1, n_l)
+        (nu, start, end, up, paths, leaf_paths,
+         k_f, k_f_up, k_g_up, d_nu, prefix) = layout(len(rows))
+        flat_prefix = prefix.ravel()
+
+        def subtree_sums(w: np.ndarray) -> np.ndarray:
+            # the cumsum restarts on every row
+            np.add.accumulate(w.reshape(-1, n_l), axis=1, out=prefix[:, 1:])
+            return flat_prefix[end] - flat_prefix[start]
+
+        phi = subtree_sums(rows.ravel() * nu)
         inner = k_f * phi + (k_f_up * (phi[up] - phi))[paths].sum(axis=0)
         kappa_up = inner[up] - k_g_up
-        g = f - f[0]
+        g = (rows - rows[:, :1]).ravel()
         big_g = subtree_sums(g * nu)
         a = (kappa_up * d_nu)[leaf_paths].sum(axis=0)
         b = (kappa_up * (big_g[up] - big_g))[leaf_paths].sum(axis=0)
-        return g * a - b
+        return (g * a - b).reshape(f.shape)
 
     return rhs
 
@@ -500,14 +600,10 @@ def solve_leaf(
             "the cascade dynamics are defined on mean-zero fields only"
         )
     grid = time_grid(t_end, dt, tree.n_leaves)
-    sweep = _leaf_sweep(tree, interaction, dissipation)
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        if not np.isfinite(y).all():
-            raise SolverAbort("leaf values became non-finite; reduce dt")
-        return sweep(y)
-
-    values, max_est = _integrate(rhs, f0.values.copy(), grid, float(dt))
+    values, max_est = _integrate(
+        _leaf_sweep(tree, interaction, dissipation), f0.values.copy(),
+        grid, float(dt),
+    )
     return LeafTrajectory(
         grid, tree, values, _metadata("leaf", t_end, dt, max_step_error=max_est)
     )

@@ -1,8 +1,10 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script runs to completion against the current API, and
+prints the same text on every run."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,5 @@ def test_demo_runs(demo):
         env=env, cwd=demo.parent, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # a temporary path would make the output differ from run to run
+    assert tempfile.gettempdir() not in proc.stdout

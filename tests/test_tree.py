@@ -158,6 +158,15 @@ def test_measure_toward_requires_strict_descendant():
         tree.measure[oracles.child_toward(tree, tree.vertex("0.0"), tree.root)]
 
 
+def test_child_toward_error_names_the_vertex_passed():
+    # "1.0.1" is deeper than "0" but not below it: the message names
+    # "1.0.1", not its ancestor "1.0" one level below "0"
+    tree = uc.build_tree({"p": 2, "depth": 3})
+    with pytest.raises(ValueError) as info:
+        oracles.child_toward(tree, tree.vertex("0"), tree.vertex("1.0.1"))
+    assert str(info.value) == "'1.0.1' is not strictly below '0'"
+
+
 def test_measure_toward_strictly_below_parent_measure():
     rng = np.random.default_rng(23)
     tree = uc.random_tree(rng, max_leaves=40)
