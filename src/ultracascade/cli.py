@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 solver
 abort.  Outputs are deterministic: running the same config twice yields
-byte-identical files.
+byte-identical files.  The trajectory CSV writes constant columns once as
+text and, when large, has forked helpers on the usable CPUs format its
+rows (serially in ``--jobs`` workers), with the same bytes.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -71,6 +75,16 @@ ORACLE_RANDOM_KERNELS = 3
 # row block a writer holds at once
 CSV_BLOCK_NUMBERS = 1 << 14
 
+# fewest varying numbers per part of a trajectory CSV: a forked helper
+# formats each part past the first, and below about twice this many
+# numbers the fork, wait and copy cost more than the second CPU saves
+# (measured crossover, see CHANGES.md)
+CSV_SPLIT_NUMBERS = 1 << 13
+
+# true in the workers of ``run <dir> --jobs N``: they share the CPUs
+# already, so their trajectory writers fork no helper
+_in_pool_worker = False
+
 
 @contextmanager
 def _replaced_atomically(path: Path) -> Iterator[TextIO]:
@@ -88,34 +102,127 @@ def _replaced_atomically(path: Path) -> Iterator[TextIO]:
         raise
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 without ``os.fork`` or
+    ``os.sched_getaffinity``."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _start_helper(part: Path, write_rows: Callable[[TextIO, int, int], None],
+                  lo: int, hi: int) -> int:
+    """Fork a helper that writes rows ``lo:hi`` into ``part``; its pid.
+
+    The helper leaves only through ``os._exit``, so it never flushes a
+    buffer it inherited and never prints: its exit status is 0, the
+    errno of an ``OSError``, or 255 for any other failure.
+    """
+    status = 255
+    pid = os.fork()
+    if pid:
+        return pid
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            write_rows(fh, lo, hi)
+        status = 0
+    except OSError as exc:
+        status = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    finally:
+        os._exit(status)
+
+
+@contextmanager
+def _helpers(path: Path, write_rows: Callable[[TextIO, int, int], None],
+             spans: list[tuple[int, int]]) -> Iterator[Iterator[Path]]:
+    """Fork one helper per (lo, hi) row span, each into a part file beside
+    ``path``; yield an iterator that waits for the helpers in order and
+    gives each finished part file.  A failed helper raises ``OSError``.
+    On exit every helper still running is killed, every helper reaped
+    and every part file removed."""
+    running: dict[int, Path] = {}
+    parts = [path.with_name(f".{path.name}.{os.getpid()}.part{i}.tmp")
+             for i in range(1, len(spans) + 1)]
+
+    def finished() -> Iterator[Path]:
+        for pid, part in list(running.items()):
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code == 255 or code < 0:
+                raise OSError(f"trajectory CSV helper for {part.name} "
+                              f"failed with status {code}")
+            if code:
+                raise OSError(code, os.strerror(code))
+            yield part
+
+    try:
+        for part, (lo, hi) in zip(parts, spans):
+            running[_start_helper(part, write_rows, lo, hi)] = part
+        yield finished()
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Header ``t,<slot>.re,<slot>.im,...`` with slots in lexicographic order.
 
-    Rows go out in blocks of about ``CSV_BLOCK_NUMBERS`` numbers, each
-    gathered from the trajectory in column order and formatted by one
-    ``%`` call: ``%.17g`` is ``format(x, ".17g")``, 17 significant digits,
-    enough to reproduce any double exactly.
+    Every number is written as ``%.17g`` writes it: ``format(x, ".17g")``,
+    17 significant digits, enough to reproduce any double exactly.  A
+    value column whose bit pattern is the same in every row is formatted
+    once into the row template as text, so each ``%`` call formats only
+    the numbers that vary, in blocks of about ``CSV_BLOCK_NUMBERS`` of
+    them.  From ``2 * CSV_SPLIT_NUMBERS`` varying numbers on, the rows
+    are cut into up to one contiguous part per usable CPU, each of at
+    least ``CSV_SPLIT_NUMBERS`` numbers: this process formats the first,
+    a forked helper each other one into a part file, and the parts are
+    appended in order.  Every helper is reaped before this returns or
+    raises.
     """
     order = sorted(range(len(traj.labels)), key=lambda i: traj.labels[i])
-    n_cols = 1 + 2 * len(order)
-    row_fmt = ",".join(["%.17g"] * n_cols) + "\n"
-    step = max(1, CSV_BLOCK_NUMBERS // n_cols)
-    columns = np.asarray(order, dtype=np.intp)
+    floats = np.ascontiguousarray(traj.values, dtype=np.complex128).view(np.float64)
+    # float columns in output order: (re, im) per slot
+    columns = (2 * np.asarray(order, dtype=np.intp)[:, None] + (0, 1)).ravel()
+    bits = floats.view(np.uint64)
+    same = np.ones(floats.shape[1], dtype=bool)
+    chunk = max(1, CSV_BLOCK_NUMBERS // floats.shape[1])
+    for k in range(1, len(bits), chunk):
+        same &= (bits[k:k + chunk] == bits[0]).all(axis=0)
+    vary = columns[~same[columns]]
+    fields = ["%.17g" % x if same[c] else "%.17g"
+              for c, x in zip(columns.tolist(), floats[0, columns].tolist())]
+    row_fmt = ",".join(["%.17g", *fields]) + "\n"
+    n_rows, per_row = len(traj.grid), 1 + len(vary)
+    step = max(1, CSV_BLOCK_NUMBERS // per_row)
+
+    def write_rows(fh: TextIO, lo: int, hi: int) -> None:
+        for k in range(lo, hi, step):
+            grid = traj.grid[k:min(k + step, hi)]
+            block = np.empty((len(grid), per_row))
+            block[:, 0] = grid
+            block[:, 1:] = floats[k:k + len(grid), vary]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+    cpus = 1 if _in_pool_worker else _usable_cpus()
+    n_parts = max(1, min(cpus, n_rows * per_row // CSV_SPLIT_NUMBERS, n_rows))
+    cuts = [n_rows * i // n_parts for i in range(n_parts + 1)]
     with _replaced_atomically(path) as fh:
         fh.write(
             "t" + "".join(
                 f",{traj.labels[i]}.re,{traj.labels[i]}.im" for i in order
             ) + "\n"
         )
-        for k in range(0, len(traj.grid), step):
-            grid = traj.grid[k:k + step]
-            block = np.empty((len(grid), n_cols))
-            block[:, 0] = grid
-            # complex columns viewed as interleaved (re, im) float pairs
-            block[:, 1:] = np.ascontiguousarray(
-                traj.values[k:k + step, columns]
-            ).view(np.float64)
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        with _helpers(path, write_rows, list(zip(cuts[1:-1], cuts[2:]))) as parts:
+            write_rows(fh, cuts[0], cuts[1])
+            for part in parts:
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
 
 
 def write_energy_csv(path: Path, rows: np.ndarray) -> None:
@@ -293,6 +400,16 @@ def _run_worker(args: tuple[str, str | None]) -> tuple[str, int, str]:
         return (path.name, EXIT_CONFIG, f"error: {path.name}: {exc}")
 
 
+def _run_pooled(args: tuple[str, str | None]) -> tuple[str, int, str]:
+    """``_run_worker`` in a worker of a process pool: no writer helpers."""
+    global _in_pool_worker
+    _in_pool_worker = True
+    try:
+        return _run_worker(args)
+    finally:
+        _in_pool_worker = False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = Path(args.config)
     files = sorted(config.glob("*.json")) if config.is_dir() else [config]
@@ -311,7 +428,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run_worker, work))
+                results = list(pool.map(_run_pooled, work))
         worst = EXIT_OK
         for _name, code, message in results:
             if message:

@@ -160,12 +160,21 @@ def assemble(
     anc_slot = np.zeros(shape, dtype=np.intp)
     weight = np.zeros(shape, dtype=np.complex128)
     anc_slot[k, cols] = slot
-    # Python complex products: numpy's vectorized multiply may fuse
-    # multiply-adds and move the last bit of a weight
-    weight[k, cols] = [a * b for a, b in zip(value.tolist(), coeff.tolist())]
+    weight[k, cols] = complex_products(value, coeff)
     return CascadeSystem(
         tree, basis, interaction, dissipation, eta, anc_slot, weight
     )
+
+
+def complex_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` of complex128 arrays, bit for bit as Python's complex
+    product: re = a.re*b.re - a.im*b.im and im = a.re*b.im + a.im*b.re,
+    every product and sum rounded on its own.  numpy's vectorized complex
+    multiply may fuse multiply-adds and move the last bit of a weight."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def grid_steps(t_end: float, dt: float) -> int:
@@ -287,7 +296,7 @@ def solve_recurrent(
     live = np.flatnonzero(v0vec)
     live_depth = tree.depth[vertex[live]]
     per_pass = max(1, RECURRENT_BLOCK // len(grid))
-    for d in np.unique(live_depth):
+    for d in np.flatnonzero(np.bincount(live_depth)):
         slots = live[live_depth == d]
         verts, first, col = np.unique(
             vertex[slots], return_index=True, return_inverse=True
@@ -659,7 +668,7 @@ def energy_by_level(traj: Trajectory) -> np.ndarray:
     ascending, covering every depth that carries at least one slot.
     """
     depths = np.asarray(traj.depths)
-    levels = np.unique(depths)
+    levels = np.flatnonzero(np.bincount(depths))
     power = np.abs(traj.values) ** 2
     energy = np.stack([power[:, depths == d].sum(axis=1) for d in levels], axis=1)
     t, d = np.meshgrid(traj.grid, levels.astype(np.float64), indexing="ij")

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 import numbers
 from functools import cached_property
-from typing import Any
+from itertools import chain, repeat
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -106,7 +107,7 @@ class BallTree:
                 raise ValueError("vertices must be numbered in preorder")
             size[up[starts]] += np.add.reduceat(size[verts], starts)
             # the reduction of measure[list(row)].sum(), a row per parent
-            for k in np.unique(counts).tolist():
+            for k in np.flatnonzero(np.bincount(counts)).tolist():
                 run = starts[counts == k]
                 rows = verts[run[:, None] + np.arange(k)]
                 measure[up[run]] = measure[rows].sum(axis=1)
@@ -260,6 +261,39 @@ class BallTree:
                 v = 0 if m is None else table.item(v, m)
                 if v == 0:
                     raise ValueError(f"unknown vertex path {path!r}")
+        return v
+
+    def vertices(self, paths: Sequence[str]) -> np.ndarray:
+        """Vertex ids of many root paths, each as ``vertex`` resolves it.
+
+        The paths descend together, one ``child_table`` gather per depth
+        over every path that still has a step.  The first path, in the
+        given order, that names no vertex raises the error ``vertex``
+        raises for it.
+        """
+        usable = [isinstance(p, str) for p in paths]
+        split = [p.split(".") if ok and p else [] for p, ok in zip(paths, usable)]
+        count = np.fromiter(map(len, split), dtype=np.intp, count=len(split))
+        # the child index of every step, path after path; -1 for a step
+        # that is no child index as ``str`` writes it
+        child = np.fromiter(map(self._steps.get, chain.from_iterable(split), repeat(-1)),
+                            dtype=np.intp, count=int(count.sum()))
+        # deepest first: at depth d the first deeper[d] paths have a step
+        order = np.argsort(-count, kind="stable")
+        deeper = len(paths) - np.cumsum(np.bincount(count))
+        at = (np.cumsum(count) - count)[order]
+        # padding past the last child holds the root, nobody's child; a
+        # step of -1 reads the last column of a path already dead
+        table = self.child_table if self.child_table.size else np.zeros((1, 1), np.intp)
+        v = np.zeros(len(paths), dtype=np.intp)
+        dead = ~np.array(usable, dtype=bool)[order]
+        for d, k in enumerate(deeper[:-1].tolist()):
+            m = child[at[:k] + d]
+            v[:k] = table[v[:k], m]
+            dead[:k] |= (m < 0) | (v[:k] == 0)
+        if dead.any():
+            raise ValueError(f"unknown vertex path {paths[int(order[dead].min())]!r}")
+        v[order] = v.copy()
         return v
 
     @cached_property

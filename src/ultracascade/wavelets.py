@@ -314,12 +314,12 @@ class WaveletField:
     def from_records(
         cls, basis: WaveletBasis, records: Iterable[Sequence]
     ) -> "WaveletField":
-        data: dict[tuple[int, int], complex] = {}
-        for rec in records:
-            path, j, re, im = rec
-            v = basis.tree.vertex(str(path))
-            data[(v, int(j))] = complex(float(re), float(im))
-        return cls(basis, data)
+        """Build from (vertex path, wavelet index, real, imag) records; all
+        paths are resolved at once by ``BallTree.vertices``."""
+        records = [(str(path), j, re, im) for path, j, re, im in records]
+        verts = basis.tree.vertices([rec[0] for rec in records]).tolist()
+        return cls(basis, {(v, int(j)): complex(float(re), float(im))
+                           for v, (_, j, re, im) in zip(verts, records)})
 
     def records(self) -> list[tuple[str, int, float, float]]:
         out = []

@@ -755,6 +755,26 @@ def test_solvers_refuse_a_trajectory_over_budget():
                       uc.synthesize(v0), 1e9, 1e-9)
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+def test_cli_commands_load_no_numpy_ma_or_process_pool(tmp_path, scenario_dir, command):
+    """``np.unique`` imports all of ``numpy.ma``; the writer's helpers use
+    ``os.fork`` itself, not ``multiprocessing``."""
+    code = (
+        "import sys\n"
+        "from ultracascade import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma'\n"
+        "    or m.startswith(('numpy.ma.', 'multiprocessing', 'concurrent.futures'))))\n"
+    )
+    args = [command, str(scenario_dir / "nested_pair.json")]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_cli_import_and_validate_load_no_process_pool_or_hashlib(scenario_dir):
     code = (
         "import sys\n"

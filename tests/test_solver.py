@@ -7,7 +7,7 @@ import pytest
 
 import ultracascade as uc
 from ultracascade import oracles
-from ultracascade.solver import STEP_ERROR_TOL, _coefficient_rhs
+from ultracascade.solver import STEP_ERROR_TOL, _coefficient_rhs, complex_products
 
 from conftest import (
     dense_coupling_matrix,
@@ -47,6 +47,30 @@ def test_assemble_constant_interaction_has_no_couplings():
     assert system.n_couplings == 0
     assert np.all(system.weight == 0)
     assert np.all(dense_coupling_matrix(system) == 0)
+
+
+def test_complex_products_match_python_complex_products_bit_for_bit():
+    """``assemble``'s weights are the products Python's complex type gives:
+    magnitudes spanning e^+-30, signed zeros, subnormals, products that
+    overflow to inf and factors with a zero imaginary part."""
+    rng = np.random.default_rng(307)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
+                        1e308, -1.7976931348623157e308])
+
+    def factors(n: int) -> np.ndarray:
+        parts = np.exp(rng.uniform(-30.0, 30.0, (n, 2))) * rng.choice([-1.0, 1.0], (n, 2))
+        pick = rng.random((n, 2)) < 0.15
+        parts[pick] = rng.choice(special, pick.sum())
+        parts[rng.random(n) < 1 / 7, 1] = 0.0
+        return parts.view(np.complex128)[:, 0]
+
+    a, b = factors(100_000), factors(100_000)
+    with np.errstate(all="ignore"):
+        got = complex_products(a, b)
+    want = np.array([x * y for x, y in zip(a.tolist(), b.tolist())], dtype=np.complex128)
+    assert np.isinf(want).any() and np.isnan(want).any()
+    assert (want.view(np.uint64) == 0x8000000000000000).any()  # a -0.0 part
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 def test_assemble_depth_one_decay_rate():

@@ -3,6 +3,7 @@ per-vertex loop constructors they replaced (``conftest.ReferenceTree``,
 ``conftest.reference_basis``): every array, lazy attribute and error
 message must come out the same, bit for bit."""
 
+import re
 import string
 import subprocess
 import sys
@@ -210,12 +211,31 @@ def test_vertex_lookup_matches_the_label_map_on_a_fuzz_of_paths():
         for path in paths:
             if path in known:
                 assert tree.vertex(path) == known[path], path
+                assert tree.vertices([path]).tolist() == [known[path]], path
             else:
-                with pytest.raises(ValueError, match="unknown vertex path"):
+                message = f"^unknown vertex path {re.escape(repr(path))}$"
+                with pytest.raises(ValueError, match=message):
                     tree.vertex(path)
+                with pytest.raises(ValueError, match=message):
+                    tree.vertices([path])
+        # in one batch the first unknown path in the given order is named
+        order = rng.permutation(len(paths))
+        for lo in range(0, len(paths), 97):
+            batch = [paths[i] for i in order[lo:lo + 97]]
+            unknown = [path for path in batch if path not in known]
+            if unknown:
+                message = f"^unknown vertex path {re.escape(repr(unknown[0]))}$"
+                with pytest.raises(ValueError, match=message):
+                    tree.vertices(batch)
+            else:
+                assert tree.vertices(batch).tolist() == [known[p] for p in batch]
+        assert tree.vertices(list(known)).tolist() == list(known.values())
+    assert trees[0].vertices([]).tolist() == []
     for bad in (None, 0, b"0"):
         with pytest.raises(ValueError, match="unknown vertex path"):
             trees[0].vertex(bad)
+        with pytest.raises(ValueError, match=f"unknown vertex path {bad!r}"):
+            trees[0].vertices(["0", bad, "7"])
 
 
 def test_build_scenario_on_shorthand_leaves_children_and_labels_unbuilt():

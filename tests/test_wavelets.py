@@ -1,5 +1,7 @@
 """Wavelet basis construction and the analyze/synthesize transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,20 @@ def test_wavelet_field_records_round_trip():
         uc.WaveletField.from_records(basis, [("0.0", 0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="slot"):
         uc.WaveletField.from_records(basis, [("0", 5, 1.0, 0.0)])
+
+
+def test_wavelet_field_records_name_the_first_unknown_path():
+    basis = uc.build_basis(uc.build_tree({"p": 3, "depth": 3}))
+    good = [(label, 0, 1.0, 0.0) for label in ("", "2", "1.0", "0.2")]
+    for bad in ("0.3", "0..1", "1.01", "0.0.0.0", " 1", "x"):
+        records = good[:2] + [(bad, 0, 1.0, 0.0)] + good[2:] + [("9", 0, 1.0, 0.0)]
+        with pytest.raises(ValueError, match=f"^unknown vertex path '{re.escape(bad)}'$"):
+            uc.WaveletField.from_records(basis, records)
+    records = good + [("1.0", 1, 0.5, -2.0), ("2", 0, 3.0, 0.0)]  # "2" again: last wins
+    field = uc.WaveletField.from_records(basis, iter(records))
+    tree = basis.tree
+    assert field.data == {(tree.vertex(p), j): complex(x, y) for p, j, x, y in records}
+    assert field[tree.vertex("2"), 0] == 3.0
 
 
 def test_leaf_field_records_round_trip():

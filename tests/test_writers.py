@@ -1,6 +1,7 @@
 """The CSV writers against their per-number reference, and atomic output."""
 
 import errno
+import os
 from unittest import mock
 
 import numpy as np
@@ -71,6 +72,102 @@ def test_trajectory_writer_default_blocks_with_a_partial_last_block(tmp_path):
                       reference_write_trajectory_csv, traj)
 
 
+def with_columns(traj: uc.Trajectory, case: str) -> uc.Trajectory:
+    """``traj`` with its first value columns made constant, or nearly so."""
+    parts = np.ascontiguousarray(traj.values).view(np.float64).copy()
+    if case == "all constant":
+        parts[:] = parts[0]
+    else:
+        columns = {
+            "+0.0": [0.0], "-0.0": [-0.0], "nan and inf": [np.nan, np.inf, -np.inf],
+            "+0.0 but one -0.0 row": [0.0], "constant but the last row": [0.1, 7.0],
+        }[case]
+        parts[:, :len(columns)] = columns
+        if case == "+0.0 but one -0.0 row":
+            parts[len(parts) // 2, 0] = -0.0
+        elif case == "constant but the last row":
+            parts[-1, :2] = (0.1 + 2.0 ** -55, np.nextafter(7.0, 0.0))
+    return make_trajectory(traj.labels, parts, traj.grid)
+
+
+CONSTANT_CASES = ["+0.0", "-0.0", "+0.0 but one -0.0 row", "nan and inf",
+                  "constant but the last row", "all constant"]
+
+
+@pytest.mark.parametrize("block", [3, cli.CSV_BLOCK_NUMBERS])
+@pytest.mark.parametrize("case", CONSTANT_CASES)
+def test_trajectory_writer_constant_columns(tmp_path, monkeypatch, case, block):
+    traj = with_columns(awkward_trajectory(LABELS, 23, seed=5), case)
+    monkeypatch.setattr(cli, "CSV_BLOCK_NUMBERS", block)
+    assert same_bytes(tmp_path, cli.write_trajectory_csv,
+                      reference_write_trajectory_csv, traj)
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def count_helpers(monkeypatch) -> list[int]:
+    """Record the pid of every helper the trajectory writer forks."""
+    started, start = [], cli._start_helper
+
+    def counted(*args):
+        started.append(start(*args))
+        return started[-1]
+
+    monkeypatch.setattr(cli, "_start_helper", counted)
+    return started
+
+
+def force_split(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(cli, "CSV_SPLIT_NUMBERS", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus, rows, block", [
+    (2, 37, cli.CSV_BLOCK_NUMBERS), (3, 37, 25), (2, 21, 3),
+    (3, 5, 4),  # parts of 1, 2 and 2 rows
+    (3, 2, 1),  # more CPUs than rows: two one-row parts
+    (2, 1, 1),  # one row: no helper
+])
+@pytest.mark.parametrize("case", [None, "+0.0", "all constant"])
+def test_trajectory_writer_split_across_helpers(tmp_path, monkeypatch, cpus, rows,
+                                                block, case):
+    traj = awkward_trajectory(LABELS, rows, seed=rows + cpus)
+    if case:
+        traj = with_columns(traj, case)
+    force_split(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "CSV_BLOCK_NUMBERS", block)
+    started = count_helpers(monkeypatch)
+    assert same_bytes(tmp_path, cli.write_trajectory_csv,
+                      reference_write_trajectory_csv, traj)
+    assert len(started) == min(cpus, rows) - 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+    assert no_child_left()
+
+
+def test_trajectory_writer_splits_only_above_the_crossover(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    started = count_helpers(monkeypatch)
+    rng = np.random.default_rng(8)
+    # 5 slots, one float column all zero: t and 9 varying numbers a row
+    parts = rng.standard_normal((5 * cli.CSV_SPLIT_NUMBERS // 10, 10))
+    parts[:, 3] = 0.0
+    split = cli.CSV_SPLIT_NUMBERS
+    for rows, helpers in [(-(-2 * split // 10) - 1, 0), (-(-2 * split // 10), 1),
+                          (-(-3 * split // 10), 2), (-(-4 * split // 10), 3),
+                          (len(parts), 3)]:
+        started.clear()
+        traj = make_trajectory(LABELS, parts[:rows], np.arange(rows) / 7)
+        assert same_bytes(tmp_path, cli.write_trajectory_csv,
+                          reference_write_trajectory_csv, traj)
+        assert len(started) == helpers, rows
+
+
 @pytest.mark.parametrize("block", [1, 4, cli.CSV_BLOCK_NUMBERS])
 def test_energy_writer_matches_reference(tmp_path, monkeypatch, block):
     rng = np.random.default_rng(block)
@@ -127,17 +224,18 @@ def test_writers_match_reference_on_any_doubles(
 
 class _FailingFile:
     """Text file that writes half of its ``fail_at``-th write and then
-    raises ENOSPC, as a full disk would."""
+    raises ENOSPC, as a full disk would, or the given exception."""
 
-    def __init__(self, fh, fail_at: int):
+    def __init__(self, fh, fail_at: int, exc: BaseException | None = None):
         self.fh, self.fail_at, self.calls = fh, fail_at, 0
+        self.exc = exc or OSError(errno.ENOSPC, "No space left on device")
 
     def write(self, text: str) -> int:
         self.calls += 1
         if self.calls == self.fail_at:
             self.fh.write(text[:len(text) // 2])
             self.fh.flush()
-            raise OSError(errno.ENOSPC, "No space left on device")
+            raise self.exc
         return self.fh.write(text)
 
     def __enter__(self):
@@ -175,6 +273,73 @@ def test_failed_write_keeps_old_output_and_leaves_no_temp_file(
     assert len(err) == 1 and "No space left on device" in err[0]
     assert outputs[kind].read_text(encoding="utf-8") == f"old {outputs[kind].name}\n"
     assert sorted(tmp_path.iterdir()) == sorted(outputs.values())
+
+
+@pytest.mark.parametrize("where, exc", [
+    ("helper", None), ("writer", None), ("writer", KeyboardInterrupt()),
+])
+def test_failed_split_write_keeps_old_output_and_leaves_no_process(
+    tmp_path, scenario_dir, monkeypatch, capsys, where, exc
+):
+    """A helper or the writer itself fails half-way through its part: the
+    old outputs stay, no temp or part file is left, every helper is
+    reaped, and ENOSPC is one stderr line and exit code 2."""
+    config = scenario_dir / "nested_pair.json"
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path)]) == 0
+    outputs = sorted(tmp_path.iterdir())
+    for path in outputs:
+        path.write_text(f"old {path.name}\n", encoding="utf-8")
+    capsys.readouterr()
+
+    writer, real_open = os.getpid(), open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        in_helper = os.getpid() != writer
+        if ("nested_pair_trajectory.csv" in str(path) and "w" in mode
+                and in_helper == (where == "helper")):
+            return _FailingFile(fh, 2, exc)
+        return fh
+
+    force_split(monkeypatch, 3)
+    started = count_helpers(monkeypatch)
+    monkeypatch.setattr(cli, "CSV_BLOCK_NUMBERS", 64)  # several blocks a part
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    if exc is None:
+        assert cli.main(["run", str(config), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "No space left on device" in err[0]
+    else:
+        with pytest.raises(type(exc)):
+            cli.main(["run", str(config), "--out-dir", str(tmp_path)])
+    assert len(started) == 2
+    assert sorted(tmp_path.iterdir()) == outputs
+    for path in outputs:
+        assert path.read_text(encoding="utf-8") == f"old {path.name}\n"
+    assert no_child_left()
+
+
+def test_jobs_workers_fork_no_helper_and_match_a_sequential_run(
+    tmp_path, scenario_dir, monkeypatch
+):
+    force_split(monkeypatch, 2)
+    started = count_helpers(monkeypatch)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert cli.main(["run", str(scenario_dir), "--out-dir", str(serial)]) == 0
+    assert len(started) == 2  # one helper per scenario
+
+    def refuse(*args):
+        raise AssertionError("a --jobs worker forked a trajectory CSV helper")
+
+    monkeypatch.setattr(cli, "_start_helper", refuse)
+    assert cli.main(["run", str(scenario_dir), "--out-dir", str(parallel),
+                     "--jobs", "2"]) == 0
+    assert not cli._in_pool_worker
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in parallel.iterdir()) and len(names) == 6
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    assert no_child_left()
 
 
 def test_csv_and_summary_replace_existing_files(tmp_path, scenario_dir):
