@@ -24,7 +24,7 @@ import os
 import shutil
 import signal
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -81,6 +81,10 @@ CSV_BLOCK_NUMBERS = 1 << 14
 # (measured crossover, see CHANGES.md)
 CSV_SPLIT_NUMBERS = 1 << 13
 
+# most parts a trajectory CSV is cut into: the split was measured with
+# two CPUs only, so further CPUs are left unused until measured
+CSV_MAX_PARTS = 2
+
 # true in the workers of ``run <dir> --jobs N``: they share the CPUs
 # already, so their trajectory writers fork no helper
 _in_pool_worker = False
@@ -103,11 +107,15 @@ def _replaced_atomically(path: Path) -> Iterator[TextIO]:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 without ``os.fork`` or
-    ``os.sched_getaffinity``."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
+    """CPUs the trajectory writer formats on: those this process may run
+    on, at most ``CSV_MAX_PARTS``.  1 without ``os.fork`` or
+    ``os.sched_getaffinity``, and 1 while SIGCHLD is ignored, as the
+    kernel then reaps a helper before its exit status can be read."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+        return 1
+    return min(len(os.sched_getaffinity(0)), CSV_MAX_PARTS)
 
 
 def _start_helper(part: Path, write_rows: Callable[[TextIO, int, int], None],
@@ -161,12 +169,17 @@ def _helpers(path: Path, write_rows: Callable[[TextIO, int, int], None],
             running[_start_helper(part, write_rows, lo, hi)] = part
         yield finished()
     finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-        for pid in running:
-            os.waitpid(pid, 0)
-        for part in parts:
-            part.unlink(missing_ok=True)
+        try:
+            # a helper reaped elsewhere is gone already
+            for pid in running:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            for pid in running:
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        finally:
+            for part in parts:
+                part.unlink(missing_ok=True)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -178,10 +191,10 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     once into the row template as text, so each ``%`` call formats only
     the numbers that vary, in blocks of about ``CSV_BLOCK_NUMBERS`` of
     them.  From ``2 * CSV_SPLIT_NUMBERS`` varying numbers on, the rows
-    are cut into up to one contiguous part per usable CPU, each of at
-    least ``CSV_SPLIT_NUMBERS`` numbers: this process formats the first,
-    a forked helper each other one into a part file, and the parts are
-    appended in order.  Every helper is reaped before this returns or
+    are cut into up to one contiguous part per usable CPU (at most
+    ``CSV_MAX_PARTS``), each of at least ``CSV_SPLIT_NUMBERS`` numbers:
+    this process formats the first, a forked helper each other one into
+    a part file, and the parts are appended in order.  Every helper is reaped before this returns or
     raises.
     """
     order = sorted(range(len(traj.labels)), key=lambda i: traj.labels[i])
@@ -190,7 +203,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     columns = (2 * np.asarray(order, dtype=np.intp)[:, None] + (0, 1)).ravel()
     bits = floats.view(np.uint64)
     same = np.ones(floats.shape[1], dtype=bool)
-    chunk = max(1, CSV_BLOCK_NUMBERS // floats.shape[1])
+    chunk = max(1, CSV_BLOCK_NUMBERS // max(1, floats.shape[1]))
     for k in range(1, len(bits), chunk):
         same &= (bits[k:k + chunk] == bits[0]).all(axis=0)
     vary = columns[~same[columns]]

@@ -82,17 +82,21 @@ class Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             values = complex(amplitude) * tree.diameter ** float(exponent)
         if overrides is not None:
+            overrides = [(str(path), re, im) for path, re, im in overrides]
+            verts = tree.vertices([path for path, _, _ in overrides]).tolist()
             values = values.copy()
-            for path, re, im in overrides:
-                values[tree.vertex(str(path))] = complex(float(re), float(im))
+            for v, (_, re, im) in zip(verts, overrides):
+                values[v] = complex(float(re), float(im))
         return cls(tree, values)
 
     @classmethod
     def from_table(cls, tree: BallTree, entries: Iterable[Sequence]) -> "Kernel":
         """Build from (vertex path, real, imag) records covering every vertex."""
+        entries = [(str(path), re, im) for path, re, im in entries]
+        verts = tree.vertices([path for path, _, _ in entries]).tolist()
         values = np.full(tree.n_vertices, np.nan, dtype=np.complex128)
-        for path, re, im in entries:
-            values[tree.vertex(str(path))] = complex(float(re), float(im))
+        for v, (_, re, im) in zip(verts, entries):
+            values[v] = complex(float(re), float(im))
         missing = np.flatnonzero(np.isnan(values.real))
         if len(missing):
             raise ValueError(

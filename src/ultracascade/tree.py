@@ -244,32 +244,20 @@ class BallTree:
         return ".".join(reversed(steps))
 
     def vertex(self, path: str) -> int:
-        """Vertex id for a root path such as ``"0.1.0"`` ("" is the root).
-
-        Walks the child table, O(depth).  A step must be a child index
-        as ``str`` writes it, so ``"01"``, ``" 0"`` or ``"+1"`` name no
+        """Vertex id for a root path such as ``"0.1.0"`` ("" is the root),
+        as ``vertices`` resolves it.  A step must be a child index as
+        ``str`` writes it, so ``"01"``, ``" 0"`` or ``"+1"`` name no
         vertex, exactly as they match no label.
         """
-        if not isinstance(path, str):
-            raise ValueError(f"unknown vertex path {path!r}")
-        v = 0
-        if path:
-            table, steps = self.child_table, self._steps
-            for step in path.split("."):
-                m = steps.get(step)
-                # padding past the last child holds the root
-                v = 0 if m is None else table.item(v, m)
-                if v == 0:
-                    raise ValueError(f"unknown vertex path {path!r}")
-        return v
+        return int(self.vertices([path])[0])
 
     def vertices(self, paths: Sequence[str]) -> np.ndarray:
-        """Vertex ids of many root paths, each as ``vertex`` resolves it.
+        """Vertex ids of many root paths such as ``"0.1.0"``.
 
         The paths descend together, one ``child_table`` gather per depth
         over every path that still has a step.  The first path, in the
-        given order, that names no vertex raises the error ``vertex``
-        raises for it.
+        given order, that names no vertex (or is no ``str``) raises
+        ``ValueError("unknown vertex path ...")``.
         """
         usable = [isinstance(p, str) for p in paths]
         split = [p.split(".") if ok and p else [] for p, ok in zip(paths, usable)]

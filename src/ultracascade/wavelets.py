@@ -87,10 +87,10 @@ class LeafField:
         cls, tree: BallTree, records: Iterable[Sequence]
     ) -> "LeafField":
         """Build from (leaf path, real, imag) records; omitted leaves are 0."""
+        records = [(path, re, im) for path, re, im in records]
+        verts = tree.vertices([str(path) for path, _, _ in records]).tolist()
         values = np.zeros(tree.n_leaves, dtype=np.complex128)
-        for rec in records:
-            path, re, im = rec
-            v = tree.vertex(str(path))
+        for v, (path, re, im) in zip(verts, records):
             if not tree.is_leaf(v):
                 raise ValueError(f"vertex {path!r} is not a leaf")
             values[tree.leaf_index(v)] = complex(float(re), float(im))

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,8 @@ def test_trajectory_writer_default_blocks_with_a_partial_last_block(tmp_path):
 def with_columns(traj: uc.Trajectory, case: str) -> uc.Trajectory:
     """``traj`` with its first value columns made constant, or nearly so."""
     parts = np.ascontiguousarray(traj.values).view(np.float64).copy()
+    if case == "no value column":  # a basis of zero slots
+        return make_trajectory((), parts[:, :0], traj.grid)
     if case == "all constant":
         parts[:] = parts[0]
     else:
@@ -91,7 +94,7 @@ def with_columns(traj: uc.Trajectory, case: str) -> uc.Trajectory:
 
 
 CONSTANT_CASES = ["+0.0", "-0.0", "+0.0 but one -0.0 row", "nan and inf",
-                  "constant but the last row", "all constant"]
+                  "constant but the last row", "all constant", "no value column"]
 
 
 @pytest.mark.parametrize("block", [3, cli.CSV_BLOCK_NUMBERS])
@@ -316,6 +319,54 @@ def test_failed_split_write_keeps_old_output_and_leaves_no_process(
     assert sorted(tmp_path.iterdir()) == outputs
     for path in outputs:
         assert path.read_text(encoding="utf-8") == f"old {path.name}\n"
+    assert no_child_left()
+
+
+def test_usable_cpus_stop_at_the_measured_part_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert cli._usable_cpus() == cli.CSV_MAX_PARTS == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert cli._usable_cpus() == 1
+
+
+@pytest.fixture
+def sigchld_ignored():
+    """SIGCHLD ignored, as a parent may leave it across ``exec``: the
+    kernel reaps every child as it exits."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, previous)
+
+
+def test_trajectory_writer_forks_no_helper_while_sigchld_is_ignored(
+    tmp_path, monkeypatch, sigchld_ignored
+):
+    monkeypatch.setattr(cli, "CSV_SPLIT_NUMBERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    started = count_helpers(monkeypatch)
+    assert cli._usable_cpus() == 1
+    traj = awkward_trajectory(LABELS, 37, seed=11)
+    assert same_bytes(tmp_path, cli.write_trajectory_csv,
+                      reference_write_trajectory_csv, traj)
+    assert started == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+
+
+def test_helpers_reaped_elsewhere_fail_the_write_and_leave_no_part_file(
+    tmp_path, monkeypatch, sigchld_ignored
+):
+    """Helpers the kernel reaps itself leave no exit status to read: the
+    write fails with ``ChildProcessError``, and every other helper is
+    still killed and every part file removed."""
+    force_split(monkeypatch, 3)
+    started = count_helpers(monkeypatch)
+    target = tmp_path / "new.csv"
+    target.write_text("old\n", encoding="utf-8")
+    with pytest.raises(ChildProcessError):
+        cli.write_trajectory_csv(target, awkward_trajectory(LABELS, 37, seed=12))
+    assert len(started) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["new.csv"]
+    assert target.read_text(encoding="utf-8") == "old\n"
     assert no_child_left()
 
 
