@@ -11,20 +11,36 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 solver
 abort.  Outputs are deterministic: running the same config twice yields
-byte-identical files.  The trajectory CSV writes constant columns once as
-text and, when large, has forked helpers on the usable CPUs format its
-rows (serially in ``--jobs`` workers), with the same bytes.
+byte-identical files.
+
+Two kinds of forked helper work beside the main process, one at a time,
+so at most ``_usable_cpus()`` processes are busy at once:
+
+* when a scenario needs all three solver routes (``solver: "all"`` or
+  ``check_cross``, and always in ``oracle``), one helper runs the leaf
+  route while this process runs the recurrent and rk routes and the
+  dense checks.  It is reaped before any output is written.
+* a large trajectory CSV is cut into parts, and a helper formats each
+  part past the first; constant columns are written once as text.
+
+Both give the bytes the inline work gives, and both run inline with one
+usable CPU, while SIGCHLD is ignored, and in ``--jobs`` workers.  Run as
+``python -m ultracascade`` or the ``ultracascade`` script, BLAS runs on
+one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import mmap
 import os
+import pickle
 import shutil
 import signal
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -51,12 +67,15 @@ from .solver import (
     SolverAbort,
     Trajectory,
     analyze_trajectory,
+    coefficient_trajectory,
     energy_by_level,
     grid_steps,
-    solve_all,
+    leaf_route,
+    route_spread,
     solve_leaf,
     solve_recurrent,
     solve_rk,
+    time_grid,
 )
 from .spectral import Kernel
 
@@ -107,10 +126,12 @@ def _replaced_atomically(path: Path) -> Iterator[TextIO]:
 
 
 def _usable_cpus() -> int:
-    """CPUs the trajectory writer formats on: those this process may run
-    on, at most ``CSV_MAX_PARTS``.  1 without ``os.fork`` or
+    """CPUs the forked helpers work on beside this process: those this
+    process may run on, at most ``CSV_MAX_PARTS``, so at most that many
+    processes are busy at once.  1 without ``os.fork`` or
     ``os.sched_getaffinity``, and 1 while SIGCHLD is ignored, as the
-    kernel then reaps a helper before its exit status can be read."""
+    kernel then reaps a helper before its exit status can be read; at 1
+    every helper's work runs inline."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
@@ -118,9 +139,8 @@ def _usable_cpus() -> int:
     return min(len(os.sched_getaffinity(0)), CSV_MAX_PARTS)
 
 
-def _start_helper(part: Path, write_rows: Callable[[TextIO, int, int], None],
-                  lo: int, hi: int) -> int:
-    """Fork a helper that writes rows ``lo:hi`` into ``part``; its pid.
+def _start_helper(task: Callable[[], None]) -> int:
+    """Fork a helper that runs ``task``; its pid.
 
     The helper leaves only through ``os._exit``, so it never flushes a
     buffer it inherited and never prints: its exit status is 0, the
@@ -131,8 +151,7 @@ def _start_helper(part: Path, write_rows: Callable[[TextIO, int, int], None],
     if pid:
         return pid
     try:
-        with open(part, "w", encoding="utf-8", newline="") as fh:
-            write_rows(fh, lo, hi)
+        task()
         status = 0
     except OSError as exc:
         status = exc.errno if 0 < (exc.errno or 0) < 255 else 255
@@ -141,45 +160,36 @@ def _start_helper(part: Path, write_rows: Callable[[TextIO, int, int], None],
 
 
 @contextmanager
-def _helpers(path: Path, write_rows: Callable[[TextIO, int, int], None],
-             spans: list[tuple[int, int]]) -> Iterator[Iterator[Path]]:
-    """Fork one helper per (lo, hi) row span, each into a part file beside
-    ``path``; yield an iterator that waits for the helpers in order and
-    gives each finished part file.  A failed helper raises ``OSError``.
-    On exit every helper still running is killed, every helper reaped
-    and every part file removed."""
-    running: dict[int, Path] = {}
-    parts = [path.with_name(f".{path.name}.{os.getpid()}.part{i}.tmp")
-             for i in range(1, len(spans) + 1)]
+def _helpers(tasks: list[tuple[str, Callable[[], None]]]) -> Iterator[Iterator[str]]:
+    """Fork one helper per (name, task); yield an iterator that waits for
+    the helpers in order and gives the name of each that finished.  A
+    failed helper raises ``OSError``.  On exit every helper still running
+    is killed and every helper reaped."""
+    running: dict[int, str] = {}
 
-    def finished() -> Iterator[Path]:
-        for pid, part in list(running.items()):
+    def finished() -> Iterator[str]:
+        for pid, name in list(running.items()):
             status = os.waitpid(pid, 0)[1]
             del running[pid]
             code = os.waitstatus_to_exitcode(status)
             if code == 255 or code < 0:
-                raise OSError(f"trajectory CSV helper for {part.name} "
-                              f"failed with status {code}")
+                raise OSError(f"{name} failed with status {code}")
             if code:
                 raise OSError(code, os.strerror(code))
-            yield part
+            yield name
 
     try:
-        for part, (lo, hi) in zip(parts, spans):
-            running[_start_helper(part, write_rows, lo, hi)] = part
+        for name, task in tasks:
+            running[_start_helper(task)] = name
         yield finished()
     finally:
-        try:
-            # a helper reaped elsewhere is gone already
-            for pid in running:
-                with suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-            for pid in running:
-                with suppress(ChildProcessError):
-                    os.waitpid(pid, 0)
-        finally:
-            for part in parts:
-                part.unlink(missing_ok=True)
+        # a helper reaped elsewhere is gone already
+        for pid in running:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -221,21 +231,34 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             block[:, 1:] = floats[k:k + len(grid), vary]
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
+    def write_part(part: Path, lo: int, hi: int) -> None:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            write_rows(fh, lo, hi)
+
     cpus = 1 if _in_pool_worker else _usable_cpus()
     n_parts = max(1, min(cpus, n_rows * per_row // CSV_SPLIT_NUMBERS, n_rows))
     cuts = [n_rows * i // n_parts for i in range(n_parts + 1)]
-    with _replaced_atomically(path) as fh:
-        fh.write(
-            "t" + "".join(
-                f",{traj.labels[i]}.re,{traj.labels[i]}.im" for i in order
-            ) + "\n"
-        )
-        with _helpers(path, write_rows, list(zip(cuts[1:-1], cuts[2:]))) as parts:
-            write_rows(fh, cuts[0], cuts[1])
-            for part in parts:
-                fh.flush()
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
+    parts = [path.with_name(f".{path.name}.{os.getpid()}.part{i}.tmp")
+             for i in range(1, n_parts)]
+    tasks = [(f"trajectory CSV helper for {part.name}",
+              functools.partial(write_part, part, lo, hi))
+             for part, lo, hi in zip(parts, cuts[1:-1], cuts[2:])]
+    try:
+        with _replaced_atomically(path) as fh:
+            fh.write(
+                "t" + "".join(
+                    f",{traj.labels[i]}.re,{traj.labels[i]}.im" for i in order
+                ) + "\n"
+            )
+            with _helpers(tasks) as done:
+                write_rows(fh, cuts[0], cuts[1])
+                for part, _name in zip(parts, done):
+                    fh.flush()
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def write_energy_csv(path: Path, rows: np.ndarray) -> None:
@@ -250,15 +273,74 @@ def write_energy_csv(path: Path, rows: np.ndarray) -> None:
             )
 
 
-def _solve_canonical(scen: Scenario) -> tuple[Trajectory, dict, dict | None]:
-    """Run the configured solver(s); return (canonical trajectory,
-    per-solver metadata, cross-solver disagreement or None)."""
+@contextmanager
+def _leaf_route_beside(scen: Scenario) -> Iterator[Callable[[], Trajectory]]:
+    """Yield a join function that gives ``leaf_route``'s trajectory of the
+    scenario, or raises the error it raised.
+
+    With more than one usable CPU, outside ``--jobs`` workers, one forked
+    helper runs the route while the block runs: the parent first checks
+    the trajectory budget and allocates a shared anonymous map for the
+    coefficients, the helper writes them there, and only the metadata or
+    the exception comes back pickled over a pipe.  On exit the helper is
+    killed if still running, and reaped.  Otherwise the join function runs
+    the route inline when called.
+    """
+    cfg, system = scen.config, scen.system
+    args = (system, scen.v0, cfg.t_end, cfg.dt)
+    if _in_pool_worker or _usable_cpus() == 1:
+        yield functools.partial(leaf_route, *args)
+        return
+    grid = time_grid(cfg.t_end, cfg.dt, system.n_slots)
+    shape = (len(grid), system.n_slots)
+    shared = mmap.mmap(-1, max(1, 16 * shape[0] * shape[1]))
+    values = np.frombuffer(shared, np.complex128, shape[0] * shape[1]).reshape(shape)
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+
+        def run_route() -> None:
+            try:
+                traj = leaf_route(*args)
+                values[...] = traj.values
+                result = traj.metadata
+            except Exception as exc:  # sent to the parent, which raises it
+                result = exc
+            pickle.dump(result, writer)
+            writer.close()
+
+        def join() -> Trajectory:
+            sent = reader.read()  # to the end: until the helper closes its end
+            next(done)
+            result = pickle.loads(sent)
+            if isinstance(result, BaseException):
+                raise result
+            return coefficient_trajectory(system.basis, grid, values, result)
+
+        with _helpers([("leaf-route helper", run_route)]) as done:
+            writer.close()  # the helper holds the only write end
+            yield join
+
+
+def _all_routes(scen: Scenario, leaf: Callable[[], Trajectory]
+                ) -> tuple[dict[str, Trajectory], dict[str, float]]:
+    """``solve_all`` of the scenario, with the leaf route's trajectory
+    from ``leaf``, called after the recurrent and rk routes."""
     cfg = scen.config
-    need_all = cfg.solver == "all" or scen.config.oracles.get("check_cross", False)
-    if need_all:
-        trajs, disagreement = solve_all(scen.system, scen.v0, cfg.t_end, cfg.dt)
-        canonical_name = "recurrent" if cfg.solver == "all" else cfg.solver
-        canonical = trajs[canonical_name]
+    args = (scen.system, scen.v0, cfg.t_end, cfg.dt)
+    trajs = {"recurrent": solve_recurrent(*args), "rk": solve_rk(*args),
+             "leaf": leaf()}
+    return trajs, route_spread(trajs)
+
+
+def _solve_canonical(scen: Scenario, leaf: Callable[[], Trajectory] | None
+                     ) -> tuple[Trajectory, dict, dict | None]:
+    """Run the configured solver(s); return (canonical trajectory,
+    per-solver metadata, cross-solver disagreement or None).  With a
+    ``leaf`` join function all three routes run, as ``_all_routes``."""
+    cfg = scen.config
+    if leaf is not None:
+        trajs, disagreement = _all_routes(scen, leaf)
+        canonical = trajs["recurrent" if cfg.solver == "all" else cfg.solver]
         metadata = {name: t.metadata for name, t in trajs.items()}
         return canonical, metadata, disagreement
     if cfg.solver == "recurrent":
@@ -266,11 +348,11 @@ def _solve_canonical(scen: Scenario) -> tuple[Trajectory, dict, dict | None]:
     elif cfg.solver == "rk":
         traj = solve_rk(scen.system, scen.v0, cfg.t_end, cfg.dt)
     else:
-        leaf = solve_leaf(
+        leaf_traj = solve_leaf(
             scen.tree, scen.interaction, scen.dissipation,
             scen.f0, cfg.t_end, cfg.dt,
         )
-        traj = analyze_trajectory(leaf, scen.basis)
+        traj = analyze_trajectory(leaf_traj, scen.basis)
     return traj, {cfg.solver: traj.metadata}, None
 
 
@@ -360,12 +442,16 @@ def run_scenario_file(config_path: Path, out_dir: Path | None) -> int:
     target.mkdir(parents=True, exist_ok=True)
     names = _output_names(config_path, cfg)
 
-    canonical, solver_metadata, disagreement = _solve_canonical(scen)
     flags = cfg.oracles
     own = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
-    checks = _self_checks(scen, own if flags.get("check_eigen") else [],
-                          own[:1] if flags.get("check_phi") else [],
-                          disagreement if flags.get("check_cross") else None)
+    all_routes = cfg.solver == "all" or flags.get("check_cross", False)
+    # the dense checks run while a helper may run the leaf route
+    with _leaf_route_beside(scen) if all_routes else nullcontext() as leaf:
+        checks = _self_checks(scen, own if flags.get("check_eigen") else [],
+                              own[:1] if flags.get("check_phi") else [], None)
+        canonical, solver_metadata, disagreement = _solve_canonical(scen, leaf)
+    if flags.get("check_cross"):
+        checks.update(_self_checks(scen, [], [], disagreement))
 
     summary = {
         "config_file": config_path.name,
@@ -476,11 +562,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     kernels = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
     kernels += [(f"random-{i}", random_kernel(scen.tree, rng))
                 for i in range(ORACLE_RANDOM_KERNELS)]
-    checks = _self_checks(scen, kernels, kernels, None)
-    # the dense checks report before the solve, which may abort
-    for name, rec in checks.items():
-        print(_check_line(name, rec, scen.basis.n_slots))
-    _, spread = solve_all(scen.system, scen.v0, cfg.t_end, cfg.dt)
+    with _leaf_route_beside(scen) as leaf:
+        checks = _self_checks(scen, kernels, kernels, None)
+        # the dense checks report before the solve, which may abort
+        for name, rec in checks.items():
+            print(_check_line(name, rec, scen.basis.n_slots))
+        _, spread = _all_routes(scen, leaf)
     checks.update(_self_checks(scen, [], [], spread))
     print(_check_line("cross_solver", checks["cross_solver"], scen.basis.n_slots))
     passed = all(rec.get("pass", True) for rec in checks.values())

@@ -50,6 +50,9 @@ __all__ = [
     "solve_rk",
     "solve_leaf",
     "solve_all",
+    "leaf_route",
+    "route_spread",
+    "coefficient_trajectory",
     "leaf_rhs",
     "analyze_trajectory",
     "energy_by_level",
@@ -251,9 +254,10 @@ class LeafTrajectory:
         return LeafField(self.tree, self.values[index].copy())
 
 
-def _coefficient_trajectory(
+def coefficient_trajectory(
     basis: WaveletBasis, grid: np.ndarray, values: np.ndarray, metadata: dict
 ) -> Trajectory:
+    """The trajectory of (len(grid), n_slots) coefficient ``values``."""
     depths = basis.tree.depth[basis.slot_vertex]
     return Trajectory(grid, basis.slots, basis.labels, depths, values, metadata)
 
@@ -324,7 +328,7 @@ def solve_recurrent(
                     f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} "
                     f"at slot {basis.labels[slots[part][np.argmax(blown)]]!r}"
                 )
-    return _coefficient_trajectory(
+    return coefficient_trajectory(
         basis, grid, values, _metadata("recurrent", t_end, dt)
     )
 
@@ -471,7 +475,7 @@ def solve_rk(
     grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
     values, max_est = _integrate(_coefficient_rhs(system), v0vec, grid, float(dt))
-    return _coefficient_trajectory(
+    return coefficient_trajectory(
         system.basis, grid, values,
         _metadata("rk", t_end, dt, max_step_error=max_est),
     )
@@ -626,9 +630,38 @@ def analyze_trajectory(
     check_same_tree(basis.tree, leaf_traj,
                     message="trajectory and basis belong to different trees")
     coeffs = basis.analyze_array(leaf_traj.values)
-    return _coefficient_trajectory(
+    return coefficient_trajectory(
         basis, leaf_traj.grid, coeffs, dict(leaf_traj.metadata)
     )
+
+
+def leaf_route(
+    system: CascadeSystem,
+    v0: WaveletField,
+    t_end: float,
+    dt: float,
+) -> Trajectory:
+    """The leaf route of ``solve_all``: synthesize ``v0`` on the leaves,
+    integrate there with ``solve_leaf`` and project every snapshot back
+    onto the basis."""
+    leaf = solve_leaf(
+        system.tree, system.interaction, system.dissipation,
+        synthesize(v0), t_end, dt,
+    )
+    return analyze_trajectory(leaf, system.basis)
+
+
+def route_spread(trajectories: dict[str, Trajectory]) -> dict[str, float]:
+    """Pairwise sup-norm disagreements of the ``recurrent``, ``rk`` and
+    ``leaf`` trajectories, and their maximum under key ``"max"``."""
+    recurrent, rk, leaf = (trajectories[name] for name in ("recurrent", "rk", "leaf"))
+    spread = {
+        "recurrent_vs_rk": recurrent.sup_distance(rk),
+        "recurrent_vs_leaf": recurrent.sup_distance(leaf),
+        "rk_vs_leaf": rk.sup_distance(leaf),
+    }
+    spread["max"] = max(spread.values())
+    return spread
 
 
 def solve_all(
@@ -637,28 +670,19 @@ def solve_all(
     t_end: float,
     dt: float,
 ) -> tuple[dict[str, Trajectory], dict[str, float]]:
-    """Run all three solvers on one problem and measure their spread.
+    """Run all three solvers on one problem, in the order recurrent, rk,
+    leaf, and measure their spread.
 
     Returns the coefficient trajectories keyed by solver name (the leaf
     run is projected onto the basis) and the pairwise sup-norm
-    disagreements, including their maximum under key ``"max"``.
+    disagreements of ``route_spread``.
     """
-    recurrent = solve_recurrent(system, v0, t_end, dt)
-    rk = solve_rk(system, v0, t_end, dt)
-    f0 = synthesize(v0)
-    leaf = solve_leaf(
-        system.tree, system.interaction, system.dissipation,
-        f0, t_end, dt,
-    )
-    leaf_co = analyze_trajectory(leaf, system.basis)
-    trajectories = {"recurrent": recurrent, "rk": rk, "leaf": leaf_co}
-    disagreement = {
-        "recurrent_vs_rk": recurrent.sup_distance(rk),
-        "recurrent_vs_leaf": recurrent.sup_distance(leaf_co),
-        "rk_vs_leaf": rk.sup_distance(leaf_co),
+    trajectories = {
+        "recurrent": solve_recurrent(system, v0, t_end, dt),
+        "rk": solve_rk(system, v0, t_end, dt),
+        "leaf": leaf_route(system, v0, t_end, dt),
     }
-    disagreement["max"] = max(disagreement.values())
-    return trajectories, disagreement
+    return trajectories, route_spread(trajectories)
 
 
 def energy_by_level(traj: Trajectory) -> np.ndarray:

@@ -29,7 +29,6 @@ use; the transforms, ``assemble`` and the recurrent route never need them.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -292,19 +291,31 @@ class WaveletField:
     data: dict[tuple[int, int], complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: dict[tuple[int, int], complex] = {}
-        for (v, j), z in self.data.items():
-            key = (int(v), int(j))
-            if not self.basis.has_slot(*key):
+        """Check every key and value at once; the first record in dict
+        order that is no slot of the basis, or holds a non-finite value,
+        is reported."""
+        keys = list(self.data)
+        values = np.array(list(self.data.values()), dtype=np.complex128)
+        try:
+            index = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
+        except OverflowError:  # a number past the index range is no slot
+            index = np.array([[x if abs(x) < 2 ** 62 else -1 for x in map(int, key)]
+                              for key in keys], dtype=np.intp)
+        v, j = index.T
+        inside = (v >= 0) & (v < self.tree.n_vertices)
+        branching = self.tree.branching[np.where(inside, v, 0)]
+        slot = inside & (j >= 0) & (j < branching - 1)
+        bad = np.flatnonzero(~(slot & np.isfinite(values)))
+        if len(bad):
+            first = bad[0]
+            if not slot[first]:
+                vertex, j = map(int, keys[first])
                 raise ValueError(
-                    f"({self.basis.tree.label(key[0])!r}, {key[1]}) "
+                    f"({self.tree.label(vertex)!r}, {j}) "
                     "is not a wavelet slot of this basis"
                 )
-            z = complex(z)
-            if not cmath.isfinite(z):
-                raise ValueError("wavelet coefficients must be finite")
-            clean[key] = z
-        self.data = clean
+            raise ValueError("wavelet coefficients must be finite")
+        self.data = dict(zip(zip(v.tolist(), j.tolist()), values.tolist()))
 
     @property
     def tree(self) -> BallTree:

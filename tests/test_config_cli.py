@@ -1,7 +1,9 @@
 """Scenario configs and the command-line interface."""
 
 import csv
+import importlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -567,7 +569,8 @@ def test_cli_validate_refuses_oversized_check_that_run_refuses(
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before refusing the flag")
 
-    monkeypatch.setattr(cli, "solve_all", no_solve)
+    for name in ("solve_recurrent", "solve_rk", "leaf_route", "_start_helper"):
+        monkeypatch.setattr(cli, name, no_solve)
     assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).strip().splitlines()
@@ -681,6 +684,66 @@ def test_module_entry_point(scenario_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok:")
+
+
+def without_blas_threads(**extra: str) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, **extra}
+
+
+def test_import_loads_no_numpy_and_resolves_every_public_name():
+    code = (
+        "import sys\n"
+        "import ultracascade as uc\n"
+        "print('numpy' in sys.modules)\n"
+        "print(set(uc._ORIGIN) | {'__version__'} == set(uc.__all__)\n"
+        "      and all(getattr(uc, name) is not None for name in uc.__all__))\n"
+        "print(uc.solve_all is uc.solver.solve_all, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")])
+def test_module_entry_sets_one_blas_thread_unless_the_caller_set_it(
+    scenario_dir, given, seen
+):
+    """``python -m ultracascade`` runs ``ultracascade.__main__`` as runpy
+    runs it here; a plain import of the package leaves the variable."""
+    code = (
+        "import os, runpy, sys\n"
+        "import ultracascade\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.argv = ['ultracascade', 'validate', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('ultracascade', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    env = without_blas_threads(**({} if given is None else
+                                  {"OPENBLAS_NUM_THREADS": given}))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(scenario_dir / "nested_pair.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str(given) and lines[1].startswith("ok:")
+    assert lines[2] == seen
+
+
+def test_console_script_shares_the_module_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    # importing the entry sets a default this process must not keep
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    project = tomllib.loads(
+        (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    module, _, name = project["project"]["scripts"]["ultracascade"].partition(":")
+    assert module == "ultracascade.__main__"
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_trajectory_csv_values_round_trip_bitwise(tmp_path):

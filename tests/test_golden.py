@@ -9,7 +9,10 @@ generator moves no golden.  ``golden/goldens.json`` holds, per scenario,
 the sha256 of each file ``run`` writes and the exit code and stdout of
 ``validate`` and ``oracle``; the ladder scenarios skip ``oracle``, whose
 dense eigen check would take minutes on them.  Each ``*_summary.json`` is also kept verbatim beside it, so
-a mismatch there prints the keys that changed.
+a mismatch there prints the keys that changed.  The three scenarios that
+run all solver routes are also run with ``cli._usable_cpus`` patched to
+1, so that the leaf route's forked and inline paths both meet the same
+goldens.
 
 The float bytes depend on the numpy build and the CPU as well as on the
 code, so ``goldens.json`` names the numpy version and the machine it was
@@ -35,8 +38,13 @@ _spec.loader.exec_module(regenerate)
 GOLDENS = json.loads((GOLDEN / "goldens.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("scenario", regenerate.SCENARIOS, ids=lambda p: p.stem)
-def test_cli_outputs_match_goldens(scenario, tmp_path):
+# the scenarios that run all three solver routes: with more than one
+# usable CPU a forked helper runs their leaf route, with one it runs inline
+ALL_ROUTES = [s for s in regenerate.SCENARIOS
+              if s.stem in ("nested_pair", "p2d6_all", "p4d3_all")]
+
+
+def assert_matches_goldens(scenario: Path, tmp_path: Path) -> None:
     made_on, here = GOLDENS["host"], regenerate.host()
     assert here == made_on, (
         f"goldens were made with {made_on}, this host has {here}; "
@@ -49,3 +57,16 @@ def test_cli_outputs_match_goldens(scenario, tmp_path):
             == json.loads((GOLDEN / name).read_text(encoding="utf-8")))
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
     assert got == expected
+
+
+@pytest.mark.parametrize("scenario", regenerate.SCENARIOS, ids=lambda p: p.stem)
+def test_cli_outputs_match_goldens(scenario, tmp_path):
+    assert_matches_goldens(scenario, tmp_path)
+
+
+@pytest.mark.parametrize("scenario", ALL_ROUTES, ids=lambda p: p.stem)
+def test_cli_outputs_match_goldens_with_the_leaf_route_inline(
+    scenario, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(regenerate.cli, "_usable_cpus", lambda: 1)
+    assert_matches_goldens(scenario, tmp_path)

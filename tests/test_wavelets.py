@@ -235,6 +235,49 @@ def test_wavelet_field_records_name_the_first_unknown_path():
     assert field[tree.vertex("2"), 0] == 3.0
 
 
+def reference_field_check(basis: uc.WaveletBasis, data: dict) -> str | None:
+    """The per-record check the array check replaced: the message of the
+    first record in dict order that is no slot or holds a non-finite
+    value, or None."""
+    for (v, j), z in data.items():
+        if not basis.has_slot(v, j):
+            try:
+                return f"({basis.tree.label(int(v))!r}, {int(j)}) is not a wavelet slot of this basis"
+            except ValueError as exc:  # a vertex id out of range
+                return str(exc)
+        if not np.isfinite(complex(z)):
+            return "wavelet coefficients must be finite"
+    return None
+
+
+def test_wavelet_field_reports_the_first_bad_record_in_dict_order():
+    basis = uc.build_basis(uc.build_tree({"p": 3, "depth": 2}))
+    tree = basis.tree
+    root, leaf = tree.root, tree.vertex("0.1")
+    with pytest.raises(ValueError, match=r"^\('0\.1', 0\) is not a wavelet slot"):
+        uc.WaveletField(basis, {(root, 0): 1.0, (leaf, 0): 1.0, (root, 1): np.nan})
+    with pytest.raises(ValueError, match="^wavelet coefficients must be finite$"):
+        uc.WaveletField(basis, {(root, 0): 1.0, (root, 1): np.inf, (root, 2): 1.0})
+    with pytest.raises(ValueError, match=r"^\('', 10{30}\) is not a wavelet slot"):
+        uc.WaveletField(basis, {(root, 0): 1.0, (root, 10 ** 30): 1.0, (root, 1): np.nan})
+    # the same verdict as the per-record reference on random mixes
+    rng = np.random.default_rng(5)
+    keys = [(v, j) for v in (-1, root, leaf, tree.vertex("2"), tree.n_vertices, 2 ** 70)
+            for j in (-1, 0, 1, 2)]
+    pool = [0.5, -2j, 1 + 1j, np.nan, complex(0, np.inf), -np.inf]
+    for _ in range(300):
+        picks = rng.choice(len(keys), size=rng.integers(0, 6), replace=False)
+        data = {keys[k]: pool[rng.integers(len(pool))] for k in picks}
+        expected = reference_field_check(basis, data)
+        if expected is None:
+            field = uc.WaveletField(basis, data)
+            assert field.data == {key: complex(z) for key, z in data.items()}
+        else:
+            with pytest.raises(ValueError) as err:
+                uc.WaveletField(basis, data)
+            assert str(err.value) == expected
+
+
 def test_leaf_field_records_round_trip():
     tree = uc.build_tree({"p": 2, "depth": 2})
     f = uc.LeafField.from_records(tree, [("0.0", 1.0, 2.0), ("1.1", -1.0, 0.0)])

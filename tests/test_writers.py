@@ -3,6 +3,7 @@
 import errno
 import os
 import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -315,7 +316,7 @@ def test_failed_split_write_keeps_old_output_and_leaves_no_process(
     else:
         with pytest.raises(type(exc)):
             cli.main(["run", str(config), "--out-dir", str(tmp_path)])
-    assert len(started) == 2
+    assert len(started) == 3  # the leaf-route helper and two CSV helpers
     assert sorted(tmp_path.iterdir()) == outputs
     for path in outputs:
         assert path.read_text(encoding="utf-8") == f"old {path.name}\n"
@@ -377,10 +378,11 @@ def test_jobs_workers_fork_no_helper_and_match_a_sequential_run(
     started = count_helpers(monkeypatch)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert cli.main(["run", str(scenario_dir), "--out-dir", str(serial)]) == 0
-    assert len(started) == 2  # one helper per scenario
+    # a CSV helper per scenario and nested_pair's leaf-route helper
+    assert len(started) == 3
 
     def refuse(*args):
-        raise AssertionError("a --jobs worker forked a trajectory CSV helper")
+        raise AssertionError("a --jobs worker forked a helper")
 
     monkeypatch.setattr(cli, "_start_helper", refuse)
     assert cli.main(["run", str(scenario_dir), "--out-dir", str(parallel),
@@ -390,6 +392,154 @@ def test_jobs_workers_fork_no_helper_and_match_a_sequential_run(
     assert names == sorted(p.name for p in parallel.iterdir()) and len(names) == 6
     for name in names:
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    assert no_child_left()
+
+
+def any_child() -> bool:
+    """Whether this process has a child, running or exited, reaping none."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_leaf_route_abort_in_the_helper_matches_the_inline_run(
+    tmp_path, scenario_dir, monkeypatch, capsys, command
+):
+    """A ``SolverAbort`` of the leaf route in the helper comes back with
+    its own type and message: exit 3 and the inline run's stderr line and
+    stdout, and ``run`` writes no output."""
+    sweep = uc.solver._leaf_sweep
+
+    def steep_sweep(*args):  # the leaf route alone fails its step gauge
+        rhs = sweep(*args)
+        return lambda f: 1e4 * rhs(f)
+
+    monkeypatch.setattr(uc.solver, "_leaf_sweep", steep_sweep)
+    started = count_helpers(monkeypatch)
+    seen = []
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        args = ["--out-dir", str(out)] if command == "run" else []
+        code = cli.main([command, str(scenario_dir / "nested_pair.json"), *args])
+        seen.append((code, *capsys.readouterr()))
+        if command == "run":
+            assert list(out.iterdir()) == []
+        assert no_child_left()
+    assert seen[0] == seen[1]
+    code, out, err = seen[0]
+    assert code == 3 and err.startswith("abort: ") and len(err.splitlines()) == 1
+    assert len(out.splitlines()) == (2 if command == "oracle" else 0)
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("leaf", ["still running", "aborted too"])
+def test_parent_abort_kills_and_reaps_the_leaf_route_helper(
+    tmp_path, scenario_dir, monkeypatch, capsys, leaf
+):
+    """An rk abort in the parent wins over the leaf route, running or
+    failed: rk's message, exit 3, no output, and the helper reaped at
+    once."""
+    def rk_abort(*args):
+        raise uc.SolverAbort("rk route stopped")
+
+    def leaf_route(*args):
+        if leaf == "aborted too":
+            raise uc.SolverAbort("leaf route stopped")
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "solve_rk", rk_abort)
+    monkeypatch.setattr(cli, "leaf_route", leaf_route)
+    use_cpus(monkeypatch, 2)
+    started = count_helpers(monkeypatch)
+    begin = time.monotonic()
+    code = cli.main(["run", str(scenario_dir / "nested_pair.json"),
+                     "--out-dir", str(tmp_path)])
+    assert time.monotonic() - begin < 30
+    assert (code, capsys.readouterr().err) == (3, "abort: rk route stopped\n")
+    assert len(started) == 1 and list(tmp_path.iterdir()) == []
+    assert no_child_left()
+
+
+def test_killed_leaf_route_helper_fails_the_run_in_one_line(
+    tmp_path, scenario_dir, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "leaf_route",
+                        lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    use_cpus(monkeypatch, 2)
+    code = cli.main(["run", str(scenario_dir / "nested_pair.json"),
+                     "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: leaf-route helper failed with status -{int(signal.SIGKILL)}\n")
+    assert list(tmp_path.iterdir()) == []
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("fallback", ["one usable CPU", "SIGCHLD ignored"])
+def test_leaf_route_inline_fallbacks_write_the_same_bytes(
+    tmp_path, scenario_dir, monkeypatch, fallback
+):
+    """The inline leaf route writes the forked run's bytes; ``--jobs``
+    workers are checked by the test above."""
+    def outputs(name: str) -> dict[str, bytes]:
+        out = tmp_path / name
+        assert cli.main(["run", str(scenario_dir), "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    started = count_helpers(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = outputs("forked")
+    assert len(started) == 1  # nested_pair's leaf route; no CSV is split
+    if fallback == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = outputs("inline")
+    else:
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            inline = outputs("inline")
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+    assert len(started) == 1 and inline == forked and len(forked) == 6
+    assert no_child_left()
+
+
+def test_oracle_prints_the_same_lines_with_the_leaf_route_forked(
+    scenario_dir, monkeypatch, capsys
+):
+    started = count_helpers(monkeypatch)
+    printed = []
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        assert cli.main(["oracle", str(scenario_dir / "nested_pair.json")]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and len(printed[0].out.splitlines()) == 3
+    assert len(started) == 1
+    assert no_child_left()
+
+
+def test_leaf_route_helper_is_reaped_before_the_csv_helpers_start(
+    tmp_path, scenario_dir, monkeypatch
+):
+    force_split(monkeypatch, 2)
+    child_at_start, start = [], cli._start_helper
+
+    def checked(task):
+        child_at_start.append(any_child())
+        return start(task)
+
+    monkeypatch.setattr(cli, "_start_helper", checked)
+    assert cli.main(["run", str(scenario_dir / "nested_pair.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+    # the leaf-route helper, then one CSV helper: each with no other child
+    assert child_at_start == [False, False]
     assert no_child_left()
 
 
