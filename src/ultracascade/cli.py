@@ -13,20 +13,23 @@ Exit codes: 0 success, 1 failed check, 2 configuration error, 3 solver
 abort.  Outputs are deterministic: running the same config twice yields
 byte-identical files.
 
-Two kinds of forked helper work beside the main process, one at a time,
-so at most ``_usable_cpus()`` processes are busy at once:
+Work runs in another process only through ``_helpers``: it forks a
+helper per task, gives back each task's return value or raises its
+exception, and a helper forks none of its own.  Three kinds of helper:
 
-* when a scenario needs all three solver routes (``solver: "all"`` or
-  ``check_cross``, and always in ``oracle``), one helper runs the leaf
-  route while this process runs the recurrent and rk routes and the
-  dense checks.  It is reaped before any output is written.
-* a large trajectory CSV is cut into parts, and a helper formats each
-  part past the first; constant columns are written once as text.
+* ``run <dir> --jobs N``: ``min(N, files)`` workers, worker i running
+  files i, i+N, ... in turn; sequential where ``_can_fork`` is false.
+* the leaf route, when a scenario needs all three solver routes
+  (``solver: "all"`` or ``check_cross``, and always in ``oracle``),
+  beside this process's recurrent and rk routes and dense checks; it
+  is reaped before any output is written.
+* each part past the first of a large trajectory CSV.
 
-Both give the bytes the inline work gives, and both run inline with one
-usable CPU, while SIGCHLD is ignored, and in ``--jobs`` workers.  Run as
-``python -m ultracascade`` or the ``ultracascade`` script, BLAS runs on
-one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+The last two are never alive together and run inline at one usable CPU,
+so at most ``_usable_cpus()`` processes are busy at once.  Every helper
+gives the bytes the inline work gives.  Run as ``python -m ultracascade``
+or the ``ultracascade`` script, BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import signal
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -100,13 +103,14 @@ CSV_BLOCK_NUMBERS = 1 << 14
 # (measured crossover, see CHANGES.md)
 CSV_SPLIT_NUMBERS = 1 << 13
 
-# most parts a trajectory CSV is cut into: the split was measured with
-# two CPUs only, so further CPUs are left unused until measured
+# most processes busy at once on one piece of work, this one included:
+# caps every kind of helper but the ``--jobs`` workers, which follow N.
+# The split was measured with two CPUs only, so further CPUs are left
+# unused until measured
 CSV_MAX_PARTS = 2
 
-# true in the workers of ``run <dir> --jobs N``: they share the CPUs
-# already, so their trajectory writers fork no helper
-_in_pool_worker = False
+# true in a forked helper: its own work runs inline, never in helpers
+_in_helper = False
 
 
 @contextmanager
@@ -125,66 +129,91 @@ def _replaced_atomically(path: Path) -> Iterator[TextIO]:
         raise
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork helpers: it has ``os.fork``, is no
+    helper itself, and SIGCHLD is not ignored, as the kernel then reaps a
+    helper before its exit status can be read."""
+    return (hasattr(os, "fork") and not _in_helper
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
+
+
 def _usable_cpus() -> int:
-    """CPUs the forked helpers work on beside this process: those this
-    process may run on, at most ``CSV_MAX_PARTS``, so at most that many
-    processes are busy at once.  1 without ``os.fork`` or
-    ``os.sched_getaffinity``, and 1 while SIGCHLD is ignored, as the
-    kernel then reaps a helper before its exit status can be read; at 1
-    every helper's work runs inline."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+    """CPUs the leaf-route and CSV helpers work on beside this process:
+    those this process may run on, at most ``CSV_MAX_PARTS``.  1 where
+    ``_can_fork`` is false (in a ``--jobs`` worker, say) or without
+    ``os.sched_getaffinity``; at 1 their work runs inline."""
+    if not (_can_fork() and hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), CSV_MAX_PARTS)
 
 
-def _start_helper(task: Callable[[], None]) -> int:
-    """Fork a helper that runs ``task``; its pid.
+def _start_helper(task: Callable[[], object]) -> tuple[int, BinaryIO]:
+    """Fork a helper that runs ``task``; its pid and the read end of a
+    pipe that carries the pickled return value of ``task`` or its error.
 
-    The helper leaves only through ``os._exit``, so it never flushes a
-    buffer it inherited and never prints: its exit status is 0, the
-    errno of an ``OSError``, or 255 for any other failure.
+    Both streams are flushed first, so no helper repeats what this
+    process printed.  The helper flushes its own stdout and leaves only
+    through ``os._exit``: status 0 once its result is sent, else 255.
     """
-    status = 255
-    pid = os.fork()
-    if pid:
-        return pid
-    try:
-        task()
-        status = 0
-    except OSError as exc:
-        status = exc.errno if 0 < (exc.errno or 0) < 255 else 255
-    finally:
-        os._exit(status)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    reader, writer = map(open, os.pipe(), ("rb", "wb"))
+    with writer:  # the helper holds the only write end
+        try:
+            pid = os.fork()
+        except BaseException:
+            reader.close()
+            raise
+        if pid:
+            return pid, reader
+        global _in_helper
+        _in_helper, status = True, 255
+        try:
+            reader.close()
+            try:
+                result = task()
+                sys.stdout.flush()
+            except Exception as exc:  # sent to the parent, which raises it
+                result = exc
+            pickle.dump(result, writer)
+            writer.flush()
+            status = 0
+        finally:
+            os._exit(status)
 
 
 @contextmanager
-def _helpers(tasks: list[tuple[str, Callable[[], None]]]) -> Iterator[Iterator[str]]:
+def _helpers(tasks: list[tuple[str, Callable[[], object]]]
+             ) -> Iterator[Iterator[object]]:
     """Fork one helper per (name, task); yield an iterator that waits for
-    the helpers in order and gives the name of each that finished.  A
-    failed helper raises ``OSError``.  On exit every helper still running
-    is killed and every helper reaped."""
-    running: dict[int, str] = {}
+    the helpers in order and gives each task's return value, or raises
+    the exception the task raised.  A helper that died any other way
+    raises ``OSError``.  On exit every helper still running is killed and
+    every helper reaped."""
+    running: dict[int, tuple[str, BinaryIO]] = {}
 
-    def finished() -> Iterator[str]:
-        for pid, name in list(running.items()):
-            status = os.waitpid(pid, 0)[1]
+    def results() -> Iterator[object]:
+        for pid, (name, reader) in list(running.items()):
+            sent = reader.read()  # to the end: until the helper exits
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del running[pid]
-            code = os.waitstatus_to_exitcode(status)
-            if code == 255 or code < 0:
-                raise OSError(f"{name} failed with status {code}")
+            reader.close()
             if code:
-                raise OSError(code, os.strerror(code))
-            yield name
+                raise OSError(f"{name} failed with status {code}")
+            result = pickle.loads(sent)
+            if isinstance(result, BaseException):
+                raise result
+            yield result
 
     try:
         for name, task in tasks:
-            running[_start_helper(task)] = name
-        yield finished()
+            pid, reader = _start_helper(task)
+            running[pid] = (name, reader)
+        yield results()
     finally:
         # a helper reaped elsewhere is gone already
-        for pid in running:
+        for pid, (_name, reader) in running.items():
+            reader.close()
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
         for pid in running:
@@ -204,8 +233,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     are cut into up to one contiguous part per usable CPU (at most
     ``CSV_MAX_PARTS``), each of at least ``CSV_SPLIT_NUMBERS`` numbers:
     this process formats the first, a forked helper each other one into
-    a part file, and the parts are appended in order.  Every helper is reaped before this returns or
-    raises.
+    a part file, and the parts are appended in order.  Every helper is
+    reaped before this returns or raises.
     """
     order = sorted(range(len(traj.labels)), key=lambda i: traj.labels[i])
     floats = np.ascontiguousarray(traj.values, dtype=np.complex128).view(np.float64)
@@ -235,8 +264,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         with open(part, "w", encoding="utf-8", newline="") as fh:
             write_rows(fh, lo, hi)
 
-    cpus = 1 if _in_pool_worker else _usable_cpus()
-    n_parts = max(1, min(cpus, n_rows * per_row // CSV_SPLIT_NUMBERS, n_rows))
+    n_parts = max(1, min(_usable_cpus(), n_rows * per_row // CSV_SPLIT_NUMBERS, n_rows))
     cuts = [n_rows * i // n_parts for i in range(n_parts + 1)]
     parts = [path.with_name(f".{path.name}.{os.getpid()}.part{i}.tmp")
              for i in range(1, n_parts)]
@@ -252,7 +280,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             )
             with _helpers(tasks) as done:
                 write_rows(fh, cuts[0], cuts[1])
-                for part, _name in zip(parts, done):
+                for part, _ in zip(parts, done):
                     fh.flush()
                     with open(part, "rb") as src:
                         shutil.copyfileobj(src, fh.buffer)
@@ -278,75 +306,50 @@ def _leaf_route_beside(scen: Scenario) -> Iterator[Callable[[], Trajectory]]:
     """Yield a join function that gives ``leaf_route``'s trajectory of the
     scenario, or raises the error it raised.
 
-    With more than one usable CPU, outside ``--jobs`` workers, one forked
-    helper runs the route while the block runs: the parent first checks
-    the trajectory budget and allocates a shared anonymous map for the
-    coefficients, the helper writes them there, and only the metadata or
-    the exception comes back pickled over a pipe.  On exit the helper is
-    killed if still running, and reaped.  Otherwise the join function runs
-    the route inline when called.
+    With more than one usable CPU, one forked helper runs the route while
+    the block runs: the parent first checks the trajectory budget and
+    allocates a shared anonymous map for the coefficients, the helper
+    writes them there and returns only the metadata.  On exit the helper
+    is killed if still running, and reaped.  Otherwise the join function
+    runs the route inline when called.
     """
     cfg, system = scen.config, scen.system
     args = (system, scen.v0, cfg.t_end, cfg.dt)
-    if _in_pool_worker or _usable_cpus() == 1:
+    if _usable_cpus() == 1:
         yield functools.partial(leaf_route, *args)
         return
     grid = time_grid(cfg.t_end, cfg.dt, system.n_slots)
     shape = (len(grid), system.n_slots)
     shared = mmap.mmap(-1, max(1, 16 * shape[0] * shape[1]))
     values = np.frombuffer(shared, np.complex128, shape[0] * shape[1]).reshape(shape)
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
 
-        def run_route() -> None:
-            try:
-                traj = leaf_route(*args)
-                values[...] = traj.values
-                result = traj.metadata
-            except Exception as exc:  # sent to the parent, which raises it
-                result = exc
-            pickle.dump(result, writer)
-            writer.close()
+    def run_route() -> dict:
+        traj = leaf_route(*args)
+        values[...] = traj.values
+        return traj.metadata
 
-        def join() -> Trajectory:
-            sent = reader.read()  # to the end: until the helper closes its end
-            next(done)
-            result = pickle.loads(sent)
-            if isinstance(result, BaseException):
-                raise result
-            return coefficient_trajectory(system.basis, grid, values, result)
-
-        with _helpers([("leaf-route helper", run_route)]) as done:
-            writer.close()  # the helper holds the only write end
-            yield join
-
-
-def _all_routes(scen: Scenario, leaf: Callable[[], Trajectory]
-                ) -> tuple[dict[str, Trajectory], dict[str, float]]:
-    """``solve_all`` of the scenario, with the leaf route's trajectory
-    from ``leaf``, called after the recurrent and rk routes."""
-    cfg = scen.config
-    args = (scen.system, scen.v0, cfg.t_end, cfg.dt)
-    trajs = {"recurrent": solve_recurrent(*args), "rk": solve_rk(*args),
-             "leaf": leaf()}
-    return trajs, route_spread(trajs)
+    with _helpers([("leaf-route helper", run_route)]) as done:
+        yield lambda: coefficient_trajectory(system.basis, grid, values, next(done))
 
 
 def _solve_canonical(scen: Scenario, leaf: Callable[[], Trajectory] | None
                      ) -> tuple[Trajectory, dict, dict | None]:
     """Run the configured solver(s); return (canonical trajectory,
     per-solver metadata, cross-solver disagreement or None).  With a
-    ``leaf`` join function all three routes run, as ``_all_routes``."""
+    ``leaf`` join function all three routes run, as ``solve_all`` runs
+    them: recurrent, rk, then the leaf route's trajectory from ``leaf``."""
     cfg = scen.config
+    args = (scen.system, scen.v0, cfg.t_end, cfg.dt)
     if leaf is not None:
-        trajs, disagreement = _all_routes(scen, leaf)
+        trajs = {"recurrent": solve_recurrent(*args), "rk": solve_rk(*args),
+                 "leaf": leaf()}
         canonical = trajs["recurrent" if cfg.solver == "all" else cfg.solver]
         metadata = {name: t.metadata for name, t in trajs.items()}
-        return canonical, metadata, disagreement
+        return canonical, metadata, route_spread(trajs)
     if cfg.solver == "recurrent":
-        traj = solve_recurrent(scen.system, scen.v0, cfg.t_end, cfg.dt)
+        traj = solve_recurrent(*args)
     elif cfg.solver == "rk":
-        traj = solve_rk(scen.system, scen.v0, cfg.t_end, cfg.dt)
+        traj = solve_rk(*args)
     else:
         leaf_traj = solve_leaf(
             scen.tree, scen.interaction, scen.dissipation,
@@ -485,28 +488,18 @@ def run_scenario_file(config_path: Path, out_dir: Path | None) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def _run_worker(args: tuple[str, str | None]) -> tuple[str, int, str]:
-    """Process-pool entry: run one scenario, mapping exceptions to codes."""
-    path_str, out_dir_str = args
-    path = Path(path_str)
-    out_dir = Path(out_dir_str) if out_dir_str is not None else None
-    try:
-        code = run_scenario_file(path, out_dir)
-        return (path.name, code, "")
-    except SolverAbort as exc:
-        return (path.name, EXIT_ABORT, f"abort: {path.name}: {exc}")
-    except (ConfigError, ValueError, OSError) as exc:
-        return (path.name, EXIT_CONFIG, f"error: {path.name}: {exc}")
-
-
-def _run_pooled(args: tuple[str, str | None]) -> tuple[str, int, str]:
-    """``_run_worker`` in a worker of a process pool: no writer helpers."""
-    global _in_pool_worker
-    _in_pool_worker = True
-    try:
-        return _run_worker(args)
-    finally:
-        _in_pool_worker = False
+def _run_files(files: list[Path], out_dir: Path | None) -> list[tuple[int, str]]:
+    """Run scenario files one after another; an (exit code, stderr line)
+    pair per file, the line empty when there is nothing to report."""
+    results = []
+    for path in files:
+        try:
+            results.append((run_scenario_file(path, out_dir), ""))
+        except SolverAbort as exc:
+            results.append((EXIT_ABORT, f"abort: {path.name}: {exc}"))
+        except (ConfigError, ValueError, OSError) as exc:
+            results.append((EXIT_CONFIG, f"error: {path.name}: {exc}"))
+    return results
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -516,20 +509,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"no *.json scenario files in {config}")
     _check_output_collisions(files, args.out_dir)
     if config.is_dir():
-        # a fork-context pool starts every worker at its first submit
         jobs = max(1, min(args.jobs, len(files)))
-        work = [(str(p), str(args.out_dir) if args.out_dir else None)
-                for p in files]
-        if jobs == 1:
-            results = [_run_worker(w) for w in work]
+        if jobs == 1 or not _can_fork():
+            results = _run_files(files, args.out_dir)
         else:
-            # imported here: it costs every other process ~30 ms at start
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_run_pooled, work))
+            # worker i runs files i, i + jobs, ...
+            tasks = [(f"--jobs worker {i}",
+                      functools.partial(_run_files, files[i::jobs], args.out_dir))
+                     for i in range(jobs)]
+            with _helpers(tasks) as done:
+                strided = list(done)
+            results = [strided[i % jobs][i // jobs] for i in range(len(files))]
         worst = EXIT_OK
-        for _name, code, message in results:
+        for code, message in results:
             if message:
                 print(message, file=sys.stderr)
             worst = max(worst, code)
@@ -567,7 +559,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # the dense checks report before the solve, which may abort
         for name, rec in checks.items():
             print(_check_line(name, rec, scen.basis.n_slots))
-        _, spread = _all_routes(scen, leaf)
+        _, _, spread = _solve_canonical(scen, leaf)
     checks.update(_self_checks(scen, [], [], spread))
     print(_check_line("cross_solver", checks["cross_solver"], scen.basis.n_slots))
     passed = all(rec.get("pass", True) for rec in checks.values())

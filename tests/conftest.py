@@ -7,6 +7,7 @@ readable at a glance.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance summary")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def leftovers(directory: Path) -> list[str]:
+    """Temp and part files the CLI's writers left under ``directory``."""
+    return sorted(p.name for p in Path(directory).rglob("*")
+                  if p.name.endswith(".tmp") or ".part" in p.name)
 
 
 def dissipative_kernel(tree: uc.BallTree, rng: np.random.Generator) -> uc.Kernel:

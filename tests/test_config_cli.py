@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import ultracascade as uc
 from ultracascade import cli
 
+from conftest import leftovers, no_child_left
+
 
 def minimal_config() -> dict:
     return {
@@ -275,31 +277,25 @@ def test_cli_run_directory_parallel_matches_serial(tmp_path, scenario_dir):
 def test_cli_run_starts_no_more_workers_than_files(
     tmp_path, scenario_dir, monkeypatch
 ):
-    """A fork-context pool starts all its workers at the first submit, so
-    ``--jobs`` is capped at the file count; the pool here runs in-process."""
-    import concurrent.futures
+    """``--jobs`` is capped at the file count: the two bundled files get
+    two workers.  A third start raises before it forks, so a broken cap
+    forks nothing past it."""
+    started, start = [], cli._start_helper
 
-    asked = []
+    def capped(task):
+        if len(started) == 2:
+            raise AssertionError("a third --jobs worker")
+        started.append(task)
+        return start(task)
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_start_helper", capped)
     assert cli.main([
         "run", str(scenario_dir), "--out-dir", str(tmp_path), "--jobs", "5000",
     ]) == 0
-    assert asked == [2]
+    assert len(started) == 2
     assert len(list(tmp_path.iterdir())) == 6
+    assert leftovers(tmp_path) == []
+    assert no_child_left()
 
 
 def test_validate_and_run_call_no_oracle_code(tmp_path, monkeypatch):
@@ -818,11 +814,11 @@ def test_solvers_refuse_a_trajectory_over_budget():
                       uc.synthesize(v0), 1e9, 1e-9)
 
 
-@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("command", ["run", "oracle", "run --jobs 2"])
 def test_cli_commands_load_no_numpy_ma_or_process_pool(tmp_path, scenario_dir, command):
-    """``np.unique`` imports all of ``numpy.ma``; the writer's helpers use
-    ``os.fork`` itself, not ``multiprocessing``.  ``validate`` is checked
-    by the test below."""
+    """``np.unique`` imports all of ``numpy.ma``; every helper, ``--jobs``
+    workers included, uses ``os.fork`` itself, not ``multiprocessing``.
+    ``validate`` is checked by the test below."""
     code = (
         "import sys\n"
         "from ultracascade import cli\n"
@@ -833,6 +829,8 @@ def test_cli_commands_load_no_numpy_ma_or_process_pool(tmp_path, scenario_dir, c
     args = [command, str(scenario_dir / "nested_pair.json")]
     if command == "run":
         args += ["--out-dir", str(tmp_path)]
+    elif command == "run --jobs 2":
+        args = ["run", str(scenario_dir), "--out-dir", str(tmp_path), "--jobs", "2"]
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

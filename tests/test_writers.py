@@ -3,6 +3,8 @@
 import errno
 import os
 import signal
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -15,6 +17,8 @@ from ultracascade import cli
 
 from conftest import (
     dissipative_kernel,
+    leftovers,
+    no_child_left,
     random_initial,
     reference_write_energy_csv,
     reference_write_trajectory_csv,
@@ -107,21 +111,14 @@ def test_trajectory_writer_constant_columns(tmp_path, monkeypatch, case, block):
                       reference_write_trajectory_csv, traj)
 
 
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def count_helpers(monkeypatch) -> list[int]:
-    """Record the pid of every helper the trajectory writer forks."""
+    """Record the pid of every helper ``cli`` forks in this process."""
     started, start = [], cli._start_helper
 
     def counted(*args):
-        started.append(start(*args))
-        return started[-1]
+        pid, reader = start(*args)
+        started.append(pid)
+        return pid, reader
 
     monkeypatch.setattr(cli, "_start_helper", counted)
     return started
@@ -374,25 +371,115 @@ def test_helpers_reaped_elsewhere_fail_the_write_and_leave_no_part_file(
 def test_jobs_workers_fork_no_helper_and_match_a_sequential_run(
     tmp_path, scenario_dir, monkeypatch
 ):
-    force_split(monkeypatch, 2)
+    """Every CSV is split and two CPUs are usable, yet a ``--jobs``
+    worker forks no helper: the starter raises inside a helper, so a
+    nested fork fails the run."""
+    monkeypatch.setattr(cli, "CSV_SPLIT_NUMBERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     started = count_helpers(monkeypatch)
+    counted = cli._start_helper
+
+    def guarded(task):
+        if cli._in_helper:
+            raise AssertionError("a --jobs worker forked a helper")
+        return counted(task)
+
+    monkeypatch.setattr(cli, "_start_helper", guarded)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert cli.main(["run", str(scenario_dir), "--out-dir", str(serial)]) == 0
     # a CSV helper per scenario and nested_pair's leaf-route helper
     assert len(started) == 3
-
-    def refuse(*args):
-        raise AssertionError("a --jobs worker forked a helper")
-
-    monkeypatch.setattr(cli, "_start_helper", refuse)
     assert cli.main(["run", str(scenario_dir), "--out-dir", str(parallel),
                      "--jobs", "2"]) == 0
-    assert not cli._in_pool_worker
+    assert len(started) == 5  # one worker per file
+    assert not cli._in_helper
     names = sorted(p.name for p in serial.iterdir())
     assert names == sorted(p.name for p in parallel.iterdir()) and len(names) == 6
     for name in names:
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    assert leftovers(tmp_path) == []
     assert no_child_left()
+
+
+def test_killed_jobs_worker_fails_the_run_in_one_line(
+    tmp_path, scenario_dir, monkeypatch, capsys
+):
+    """The worker of ``single_wavelet`` dies by SIGKILL: one stderr line,
+    exit 2, the other worker's outputs written and no process left."""
+    run_file = cli.run_scenario_file
+
+    def killed(path, out_dir):
+        if path.name == "single_wavelet.json":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_file(path, out_dir)
+
+    monkeypatch.setattr(cli, "run_scenario_file", killed)
+    code = cli.main(["run", str(scenario_dir), "--out-dir", str(tmp_path),
+                     "--jobs", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --jobs worker 1 failed with status -{int(signal.SIGKILL)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "nested_pair_energy.csv", "nested_pair_summary.json",
+        "nested_pair_trajectory.csv"]
+    assert leftovers(tmp_path) == []
+    assert no_child_left()
+
+
+def test_jobs_run_sequentially_with_the_same_bytes_while_sigchld_is_ignored(
+    tmp_path, scenario_dir, monkeypatch, capsys
+):
+    forked = tmp_path / "forked"
+    assert cli.main(["run", str(scenario_dir), "--out-dir", str(forked),
+                     "--jobs", "2"]) == 0
+    started = count_helpers(monkeypatch)
+    inline = tmp_path / "inline"
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert cli.main(["run", str(scenario_dir), "--out-dir", str(inline),
+                         "--jobs", "2"]) == 0
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert started == []
+    # the inline run prints its two lines here, in file order
+    assert [line.split(":")[1] for line in capsys.readouterr().out.splitlines()] == [
+        " nested_pair.json", " single_wavelet.json"]
+    files = {p.name: p.read_bytes() for p in forked.iterdir()}
+    assert files == {p.name: p.read_bytes() for p in inline.iterdir()}
+    assert len(files) == 6
+    assert leftovers(tmp_path) == []
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["sequential", "jobs 2"])
+def test_each_ok_line_is_printed_once_with_stdout_on_a_pipe(
+    tmp_path, scenario_dir, jobs
+):
+    """With stdout block-buffered, a helper forked after a line is
+    printed but not yet flushed would print it a second time, and a
+    ``--jobs`` worker that does not flush before it exits would lose its
+    lines.  Every CSV is split here, so each scenario forks."""
+    code = (
+        "import os, sys\n"
+        "from ultracascade import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.CSV_SPLIT_NUMBERS = 1\n"
+        "print('start')\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", str(scenario_dir),
+         "--out-dir", str(tmp_path), *jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "start"
+    assert sorted(line.split(":")[1] for line in lines[1:]) == [
+        " nested_pair.json", " single_wavelet.json"]
+    assert leftovers(tmp_path) == []
+    assert len(list(tmp_path.iterdir())) == 6
 
 
 def any_child() -> bool:
