@@ -99,15 +99,28 @@ CSV_BLOCK_NUMBERS = 1 << 14
 
 # fewest varying numbers per part of a trajectory CSV: a forked helper
 # formats each part past the first, and below about twice this many
-# numbers the fork, wait and copy cost more than the second CPU saves
-# (measured crossover, see CHANGES.md)
-CSV_SPLIT_NUMBERS = 1 << 13
+# numbers the fork, wait and copy cost more than the second CPU saves.
+# Measured crossover, see CHANGES.md: two parts break even near 32k
+# numbers since each number costs about 0.3 us as text from its exact
+# 17-digit integer, against 0.6-0.9 us through ``%.17g``
+CSV_SPLIT_NUMBERS = 1 << 14
 
 # most processes busy at once on one piece of work, this one included:
 # caps every kind of helper but the ``--jobs`` workers, which follow N.
 # The split was measured with two CPUs only, so further CPUs are left
 # unused until measured
 CSV_MAX_PARTS = 2
+
+# |E| of the largest and smallest decimal exponents ``_exact_digits``
+# formats: keeps Dekker's products clear of overflow and underflow
+_EXACT_EXPONENT = 99
+
+# 2**27 + 1: Dekker's split of a double into two 26-bit halves
+_DEKKER_SPLIT = 134217729.0
+
+# a fractional part this close to 1/2 may be a tie, or on the wrong side
+# of one: far above the double-double's error of 1e-13
+_NEAR_TIE = 1e-6
 
 # true in a forked helper: its own work runs inline, never in helpers
 _in_helper = False
@@ -221,20 +234,150 @@ def _helpers(tasks: list[tuple[str, Callable[[], object]]]
                 os.waitpid(pid, 0)
 
 
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_exact_digits``, built on the first write.
+
+    * ``pieces``: the ``%`` piece of each layout code.  0 an integer
+      ``%d``; 1-16 ``%d.%0{w}d`` with w fraction digits; 17-20 ``0.``
+      and 0-3 zeros before ``%d``; 21-37 and 38-54 ``%d.%0{s-1}de+%02d``
+      and ``e-`` with s = 1-17 significant digits (no point at s = 1);
+      55 more for a minus sign; 110 the fallback, no integer.
+    * ``takes``: which of (leading part, other digits, |E|) each code's
+      piece takes.
+    * by E = -99..99 (row E + 99) and s (column): the layout code, and
+      by E the power of ten that cuts the leading part off N.
+    * 10**k for k = 16 - E, as hi + lo, both doubles correctly rounded
+      from Python ints, and hi in two 26-bit halves for Dekker's product.
+    * the powers of ten up to 10**17 as int64.
+    """
+    layouts = (["%d"] + [f"%d.%0{w}d" for w in range(1, 17)]
+               + ["0." + "0" * z + "%d" for z in range(4)]
+               + [f"%d{f'.%0{s - 1}d' if s > 1 else ''}e{sign}%02d"
+                  for sign in "+-" for s in range(1, 18)])
+    pieces = np.array(layouts + ["-" + p for p in layouts] + [""], dtype=object)
+    takes = ([(1, 0, 0)] + [(1, 1, 0)] * 16 + [(0, 1, 0)] * 4
+             + [(1, 0, 1), *[(1, 1, 1)] * 16] * 2)
+    takes = np.array(takes * 2 + [(0, 0, 0)], dtype=bool).T.copy()
+    exponents = range(-_EXACT_EXPONENT, _EXACT_EXPONENT + 1)
+    code, s = np.zeros((len(exponents), 18), dtype=np.intp), np.arange(18)
+    cut, hi, lo = np.zeros(len(exponents), dtype=np.intp), [], []
+    for row, e10 in enumerate(exponents):
+        if e10 < -4 or e10 > 16:  # scientific
+            code[row], cut[row] = 20 + 17 * (e10 < 0) + s, 16
+        elif e10 < 0:
+            code[row], cut[row] = 16 - e10, 17
+        else:
+            code[row], cut[row] = np.maximum(s - 1 - e10, 0), 16 - e10
+        num, den = (10 ** (16 - e10), 1) if e10 <= 16 else (1, 10 ** (e10 - 16))
+        hi.append(num / den)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    split = _DEKKER_SPLIT * hi
+    hi_hi = split - (split - hi)
+    return (pieces, takes, code.ravel(), cut, hi, hi_hi, hi - hi_hi,
+            np.array(lo), 10 ** np.arange(18))
+
+
+def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layout code of each number of ``x`` (see ``_digit_tables``) and the
+    integers its ``%`` piece takes, all in one flat array, in order.
+
+    With E = floor(log10|x|), |x| * 10**(16 - E) is formed as a
+    double-double: Dekker's exact product of |x| with hi, plus |x| * lo.
+    Its error is below 1e-13 of a unit, so its correctly rounded integer
+    N is the 17 digits ``%.17g`` prints whenever its fractional part lies
+    farther than ``_NEAR_TIE`` from 1/2.  Code 110, the fallback, is left
+    to near-ties (``1 + 2**-17`` is an exact one), N outside
+    [10**16, 10**17) (log10 off by one, or N rounded up to 10**17),
+    |E| > ``_EXACT_EXPONENT``, zeros, subnormals, infinities and nan.
+    """
+    _, takes, code_of, cut_of, hi, hi_hi, hi_lo, lo, pow10 = _digit_tables()
+    a = np.abs(x)
+    exact = (a >= 10.0 ** -_EXACT_EXPONENT) & (a < 10.0 ** (_EXACT_EXPONENT + 1))
+    a[~exact] = 1.0
+    e10 = np.floor(np.log10(a)).astype(np.intp)
+    # log10 may be off by one at the window's edges: N is then out of range
+    row = np.clip(e10 + _EXACT_EXPONENT, 0, 2 * _EXACT_EXPONENT, out=e10)
+    split = _DEKKER_SPLIT * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    h_hi, h_lo = hi_hi[row], hi_lo[row]
+    head = a * hi[row]
+    tail = ((a_hi * h_hi - head) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    tail += a * lo[row]
+    whole = np.floor(tail)
+    tail -= whole
+    n = head.astype(np.int64)
+    n += whole.astype(np.int64)
+    exact &= (n >= pow10[16]) & (np.abs(tail - 0.5) > _NEAR_TIE)
+    n += tail > 0.5
+    exact &= n < pow10[17]
+    n[~exact] = pow10[16]
+    lead = n // pow10[cut_of[row]]
+    rest = n - lead * pow10[cut_of[row]]
+    # strip trailing zeros, from the 10% or so of numbers that have any
+    col = np.full(len(n), 17)
+    ends = np.flatnonzero(n // 10 * 10 == n)
+    digits, zeros = n[ends], 0
+    for z in (16, 8, 4, 2, 1):
+        q, r = np.divmod(digits, pow10[z])
+        digits = np.where(r == 0, q, digits)
+        zeros = zeros + z * (r == 0)
+    col[ends] -= zeros
+    rest[ends] //= pow10[zeros]
+    code = code_of[row * 18 + col]
+    code += 55 * (x < 0)
+    code[~exact] = 110
+    args = np.stack((lead, rest, np.abs(row - _EXACT_EXPONENT)), axis=1)
+    used = np.stack([take[code] for take in takes], axis=1)
+    return code, args.ravel().take(np.flatnonzero(used))
+
+
+def _row_formatter(seps: list[str]) -> Callable[[np.ndarray], str]:
+    """Function that gives the CSV text of a block of rows: number j of
+    each row as ``format(x, ".17g")`` writes it, then ``seps[j]``.
+
+    Each number's ``%`` piece, its separator included, is picked from a
+    table by layout code and separator, and the block's text is
+    ``"".join(pieces) % tuple(integers)``: Python's integer formatting
+    writes the digits ``_exact_digits`` found.  A number of code 110
+    gets ``"%.17g" % x`` as literal text in its piece.
+    """
+    pieces = _digit_tables()[0]
+    escaped = [sep.replace("%", "%%") for sep in seps]
+    unique = {sep: i for i, sep in enumerate(dict.fromkeys(escaped))}
+    sep_id = np.array([unique[sep] for sep in escaped])
+    table = np.add.outer(pieces, np.array(list(unique), dtype=object)).ravel()
+
+    def text(block: np.ndarray) -> str:
+        x = np.asarray(block, dtype=np.float64).ravel()
+        code, args = _exact_digits(x)
+        out = table[code * len(unique) + np.tile(sep_id, len(x) // len(seps))]
+        fall = np.flatnonzero(code == 110)
+        out[fall] = ["%.17g" % v + escaped[j] for v, j in
+                     zip(x[fall].tolist(), (fall % len(seps)).tolist())]
+        return "".join(out.tolist()) % tuple(args.tolist())
+
+    return text
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Header ``t,<slot>.re,<slot>.im,...`` with slots in lexicographic order.
 
     Every number is written as ``%.17g`` writes it: ``format(x, ".17g")``,
-    17 significant digits, enough to reproduce any double exactly.  A
-    value column whose bit pattern is the same in every row is formatted
-    once into the row template as text, so each ``%`` call formats only
-    the numbers that vary, in blocks of about ``CSV_BLOCK_NUMBERS`` of
-    them.  From ``2 * CSV_SPLIT_NUMBERS`` varying numbers on, the rows
-    are cut into up to one contiguous part per usable CPU (at most
-    ``CSV_MAX_PARTS``), each of at least ``CSV_SPLIT_NUMBERS`` numbers:
-    this process formats the first, a forked helper each other one into
-    a part file, and the parts are appended in order.  Every helper is
-    reaped before this returns or raises.
+    17 significant digits, enough to reproduce any double exactly.  The
+    text is built from exact 17-digit integers by ``_row_formatter``, in
+    blocks of about ``CSV_BLOCK_NUMBERS`` numbers.  A value column whose
+    bit pattern is the same in every row is formatted once and becomes
+    literal text in the separators, so only the numbers that vary are
+    formatted per row.  From ``2 * CSV_SPLIT_NUMBERS`` varying numbers on,
+    the rows are cut into up to one contiguous part per usable CPU (at
+    most ``CSV_MAX_PARTS``), each of at least ``CSV_SPLIT_NUMBERS``
+    numbers: this process formats the first, a forked helper each other
+    one into a part file, and the parts are appended in order.  Every
+    helper is reaped before this returns or raises.
     """
     order = sorted(range(len(traj.labels)), key=lambda i: traj.labels[i])
     floats = np.ascontiguousarray(traj.values, dtype=np.complex128).view(np.float64)
@@ -246,9 +389,17 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     for k in range(1, len(bits), chunk):
         same &= (bits[k:k + chunk] == bits[0]).all(axis=0)
     vary = columns[~same[columns]]
-    fields = ["%.17g" % x if same[c] else "%.17g"
-              for c, x in zip(columns.tolist(), floats[0, columns].tolist())]
-    row_fmt = ",".join(["%.17g", *fields]) + "\n"
+    # the text after each varying number: constant columns' text up to the next
+    first = _row_formatter([","])(floats[0, columns]).split(",")
+    runs: list[list[str]] = [[]]
+    for c, text in zip(columns.tolist(), first):
+        if same[c]:
+            runs[-1].append(text)
+        else:
+            runs.append([])
+    seps = ["".join(f",{text}" for text in run) + "," for run in runs]
+    seps[-1] = seps[-1][:-1] + "\n"
+    rows_text = _row_formatter(seps)
     n_rows, per_row = len(traj.grid), 1 + len(vary)
     step = max(1, CSV_BLOCK_NUMBERS // per_row)
 
@@ -258,7 +409,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             block = np.empty((len(grid), per_row))
             block[:, 0] = grid
             block[:, 1:] = floats[k:k + len(grid), vary]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(rows_text(block))
 
     def write_part(part: Path, lo: int, hi: int) -> None:
         with open(part, "w", encoding="utf-8", newline="") as fh:
@@ -290,15 +441,15 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 
 def write_energy_csv(path: Path, rows: np.ndarray) -> None:
-    """``t,depth,energy`` rows, formatted in blocks as the trajectory's."""
+    """``t,depth,energy`` rows, formatted in blocks as the trajectory's.
+    The depths are small integers, for which ``%.17g`` writes what ``%d``
+    writes."""
+    rows_text = _row_formatter([",", ",", "\n"])
     step = max(1, CSV_BLOCK_NUMBERS // 3)
     with _replaced_atomically(path) as fh:
         fh.write("t,depth,energy\n")
         for k in range(0, len(rows), step):
-            block = rows[k:k + step]
-            fh.write(
-                ("%.17g,%d,%.17g\n" * len(block)) % tuple(block.ravel().tolist())
-            )
+            fh.write(rows_text(rows[k:k + step]))
 
 
 @contextmanager
@@ -418,16 +569,28 @@ def _output_names(config_path: Path, cfg: ScenarioConfig) -> dict[str, str]:
             for kind, suffix in defaults.items()}
 
 
-def _check_output_collisions(files: list[Path], out_dir: Path | None) -> None:
+def _load_configs(files: list[Path]) -> list[ScenarioConfig | Exception]:
+    """Each file's config, or the error parsing it raised: the run raises
+    that error when the file's turn comes."""
+    configs: list[ScenarioConfig | Exception] = []
+    for path in files:
+        try:
+            configs.append(load_config(path))
+        except (ValueError, OSError) as exc:
+            configs.append(exc)
+    return configs
+
+
+def _check_output_collisions(files: list[Path],
+                             configs: list[ScenarioConfig | Exception],
+                             out_dir: Path | None) -> None:
     """Refuse, before any solve, a run that would write one path twice or
     overwrite one of its scenario files."""
     owner = {path.resolve(): path.name for path in files}
-    for path in files:
-        try:
-            names = _output_names(path, load_config(path)).values()
-        except (ValueError, OSError):
+    for path, cfg in zip(files, configs):
+        if isinstance(cfg, Exception):
             continue  # reported when the file itself runs
-        for name in names:
+        for name in _output_names(path, cfg).values():
             dest = (Path(out_dir or path.parent) / name).resolve()
             if dest in owner:
                 raise ConfigError(
@@ -436,9 +599,13 @@ def _check_output_collisions(files: list[Path], out_dir: Path | None) -> None:
             owner[dest] = f"an output of {path.name}"
 
 
-def run_scenario_file(config_path: Path, out_dir: Path | None) -> int:
-    """Solve one scenario file and write its outputs; returns an exit code."""
-    cfg = load_config(config_path)
+def run_scenario_file(config_path: Path, out_dir: Path | None,
+                      cfg: ScenarioConfig | Exception) -> tuple[int, str]:
+    """Solve one scenario file, parsed into ``cfg``, and write its outputs;
+    returns an exit code and the status line to print.  ``cfg`` may be
+    the error parsing the file raised, which is raised here."""
+    if isinstance(cfg, Exception):
+        raise cfg
     scen = build_scenario(cfg)
     _refuse_oversized_flags(scen)
     target = Path(out_dir) if out_dir is not None else config_path.parent
@@ -481,24 +648,24 @@ def run_scenario_file(config_path: Path, out_dir: Path | None) -> int:
 
     failed = [name for name, res in checks.items() if not res["pass"]]
     status = "ok" if not failed else f"check failed ({', '.join(failed)})"
-    print(
+    return EXIT_OK if not failed else EXIT_CHECK_FAILED, (
         f"{status}: {config_path.name}: wrote {names['trajectory']}, "
         f"{names['energy']}, {names['summary']} in {target}"
     )
-    return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def _run_files(files: list[Path], out_dir: Path | None) -> list[tuple[int, str]]:
-    """Run scenario files one after another; an (exit code, stderr line)
-    pair per file, the line empty when there is nothing to report."""
+def _run_files(files: list[Path], configs: list[ScenarioConfig | Exception],
+               out_dir: Path | None) -> list[tuple[int, str, str]]:
+    """Run scenario files one after another; an (exit code, stdout line,
+    stderr line) triple per file, a line empty when it has nothing to say."""
     results = []
-    for path in files:
+    for path, cfg in zip(files, configs):
         try:
-            results.append((run_scenario_file(path, out_dir), ""))
+            results.append((*run_scenario_file(path, out_dir, cfg), ""))
         except SolverAbort as exc:
-            results.append((EXIT_ABORT, f"abort: {path.name}: {exc}"))
+            results.append((EXIT_ABORT, "", f"abort: {path.name}: {exc}"))
         except (ConfigError, ValueError, OSError) as exc:
-            results.append((EXIT_CONFIG, f"error: {path.name}: {exc}"))
+            results.append((EXIT_CONFIG, "", f"error: {path.name}: {exc}"))
     return results
 
 
@@ -507,26 +674,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     files = sorted(config.glob("*.json")) if config.is_dir() else [config]
     if not files:
         raise ConfigError(f"no *.json scenario files in {config}")
-    _check_output_collisions(files, args.out_dir)
-    if config.is_dir():
-        jobs = max(1, min(args.jobs, len(files)))
-        if jobs == 1 or not _can_fork():
-            results = _run_files(files, args.out_dir)
-        else:
-            # worker i runs files i, i + jobs, ...
-            tasks = [(f"--jobs worker {i}",
-                      functools.partial(_run_files, files[i::jobs], args.out_dir))
-                     for i in range(jobs)]
-            with _helpers(tasks) as done:
-                strided = list(done)
-            results = [strided[i % jobs][i // jobs] for i in range(len(files))]
-        worst = EXIT_OK
-        for code, message in results:
-            if message:
-                print(message, file=sys.stderr)
-            worst = max(worst, code)
-        return worst
-    return run_scenario_file(config, args.out_dir)
+    configs = _load_configs(files)
+    _check_output_collisions(files, configs, args.out_dir)
+    if not config.is_dir():
+        code, line = run_scenario_file(config, args.out_dir, configs[0])
+        print(line)
+        return code
+    jobs = max(1, min(args.jobs, len(files)))
+    if jobs == 1 or not _can_fork():
+        results = _run_files(files, configs, args.out_dir)
+    else:
+        # worker i runs files i, i + jobs, ...
+        tasks = [(f"--jobs worker {i}", functools.partial(
+                     _run_files, files[i::jobs], configs[i::jobs], args.out_dir))
+                 for i in range(jobs)]
+        with _helpers(tasks) as done:
+            strided = list(done)
+        results = [strided[i % jobs][i // jobs] for i in range(len(files))]
+    # both streams in file order, whichever worker finished first
+    worst = EXIT_OK
+    for code, line, message in results:
+        if line:
+            print(line)
+        if message:
+            print(message, file=sys.stderr)
+        worst = max(worst, code)
+    return worst
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -386,6 +386,69 @@ def test_cli_directory_keeps_worst_exit_code(tmp_path, scenario_dir, capsys):
     assert "abort: grow.json" in capsys.readouterr().err
 
 
+def mixed_scenarios(work: Path, scenario_dir: Path) -> None:
+    """Four scenario files in ``work``: a slow one first, then one that is
+    not JSON, a fast one, and one whose solve aborts."""
+    work.mkdir()
+    for name, src in (("a_nested.json", "nested_pair.json"),
+                      ("c_single.json", "single_wavelet.json")):
+        (work / name).write_bytes((scenario_dir / src).read_bytes())
+    (work / "b_bad.json").write_text("{", encoding="utf-8")
+    raw = minimal_config()
+    raw["dissipation"] = {"type": "power", "a": [-35.0, 0.0], "b": 0.0}
+    (work / "d_grow.json").write_text(json.dumps(raw), encoding="utf-8")
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_cli_run_parses_each_scenario_file_once(tmp_path, scenario_dir,
+                                                monkeypatch, capsys, jobs):
+    """The collision check and the run share one parse per file, and a
+    file that does not parse is still reported in its turn."""
+    work = tmp_path / "scenarios"
+    mixed_scenarios(work, scenario_dir)
+    parsed, load = [], cli.load_config
+
+    def counted(path):
+        parsed.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_config", counted)
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(work), "--out-dir", str(out), "--jobs", jobs])
+    assert rc == 3
+    assert parsed == ["a_nested.json", "b_bad.json", "c_single.json", "d_grow.json"]
+    captured = capsys.readouterr()
+    assert [line.split(": ")[1] for line in captured.out.splitlines()] == [
+        "a_nested.json", "c_single.json"]
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("error: b_bad.json: ") and "not valid JSON" in err[0]
+    assert err[1].startswith("abort: d_grow.json: ")
+    assert len(list(out.iterdir())) == 6
+    assert no_child_left()
+
+
+def test_cli_jobs_print_both_streams_in_file_order_on_a_pipe(tmp_path, scenario_dir):
+    """Three ``--jobs`` workers finish in another order than the files
+    sort, stdout is a pipe: the parent prints every line, in file order."""
+    work, out = tmp_path / "scenarios", tmp_path / "out"
+    mixed_scenarios(work, scenario_dir)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", "run", str(work),
+         "--out-dir", str(out), "--jobs", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    assert proc.returncode == 3
+    assert [line.split(": ")[:2] for line in proc.stdout.splitlines()] == [
+        ["ok", "a_nested.json"], ["ok", "c_single.json"]]
+    assert [line.split(": ")[:2] for line in proc.stderr.splitlines()] == [
+        ["error", "b_bad.json"], ["abort", "d_grow.json"]]
+    assert leftovers(tmp_path) == []
+    assert len(list(out.iterdir())) == 6
+    assert no_child_left()
+
+
 def test_cli_validate_ok(scenario_dir, capsys):
     rc = cli.main(["validate", str(scenario_dir / "nested_pair.json")])
     assert rc == 0

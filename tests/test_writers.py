@@ -223,6 +223,107 @@ def test_writers_match_reference_on_any_doubles(
                           reference_write_energy_csv, rows)
 
 
+def exact_text(x) -> str:
+    """``x`` as ``cli._row_formatter`` writes it, a comma after each number."""
+    return cli._row_formatter([","])(np.asarray(x, dtype=np.float64))
+
+
+def reference_text(x) -> str:
+    return "".join(format(v, ".17g") + "," for v in np.asarray(x, np.float64).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+def test_formatter_matches_format_on_any_doubles(numbers):
+    seps = [","] * (len(numbers) - 1) + ["\n"]
+    text = cli._row_formatter(seps)(np.array(numbers))
+    assert text == ",".join(format(x, ".17g") for x in numbers) + "\n"
+
+
+def test_formatter_matches_format_on_random_bit_patterns():
+    bits = np.random.default_rng(20261019).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    for block in np.split(bits.view(np.float64), 40):
+        assert exact_text(block) == reference_text(block)
+
+
+def structured_doubles() -> np.ndarray:
+    """Both signs of: exact ties at 17 digits, the doubles nearest each
+    power of ten and their neighbours (some print below 10**16 units at
+    the exponent log10 gives), the edges of the exponent window, short
+    decimals, the grids k * 1e-3 and k * 1e-4, integers up to 1e17,
+    doubles of every exponent the window holds, and the specials."""
+    rng = np.random.default_rng(17)
+    ties = [1 + 2.0 ** -17]
+    for d in range(-3, 16):  # k * 2**(d - 18), k odd, in [10**(d-1), 10**d): 18 digits
+        lo, hi = int(10.0 ** (d - 1) * 2 ** (18 - d)), int(10.0 ** d * 2 ** (18 - d))
+        ties += [(2 * k + 1) * 2.0 ** (d - 18) for k in rng.integers(lo // 2, hi // 2, 50)]
+    tens = np.array([float(10 ** k) for k in range(309)] + [1 / 10 ** k for k in range(1, 324)])
+    edges = [float(f"{m}e{e}") for m in (1, 2, 5, 9.9) for e in range(-101, -97)]
+    edges += [-x for x in edges]
+    # short decimals: about a third of them print with their own digits only
+    short = [float(f"{m}e{e}") for e in range(-110, 110)
+             for m in (3, 25, *(int("123456789987654"[:s]) for s in range(3, 16)))]
+    grids = np.arange(100_001) * np.array([[1e-3], [1e-4]])
+    ints = [*rng.integers(0, 10 ** 17, 20_000).astype(float),
+            *(10.0 ** k + j for k in range(18) for j in (-1, 0, 1))]
+    spread = rng.standard_normal(20_000) * 10.0 ** rng.integers(-105, 105, 20_000)
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, np.inf, np.nan]
+    x = np.concatenate([ties, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                        edges, short, grids.ravel(), ints, spread, special])
+    return np.concatenate([x, -x])
+
+
+def test_formatter_matches_format_on_structured_doubles():
+    x = structured_doubles()
+    for block in np.array_split(x, 30):
+        assert exact_text(block) == reference_text(block)
+    code, _ = cli._exact_digits(x)
+    assert set(code.tolist()) == set(range(111))  # every layout and the fallback
+
+
+FALLBACK = {
+    "exact tie": [1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, -(2 ** 16 + 2.0 ** -13)],
+    "|E| > 99": [9e-100, 5e-100, 1.01e100, -2e100, 1e300],
+    "zero": [0.0, -0.0],
+    "subnormal": [5e-324, -2.2250738585072009e-308],
+    "inf and nan": [np.inf, -np.inf, np.nan],
+    "below 10**16 units": [1e23, -1e23],  # log10 rounds 9.99...e22 up to 23
+}
+
+
+@pytest.mark.parametrize("why", FALLBACK)
+def test_fallback_takes_the_numbers_whose_digits_are_uncertain(why):
+    code, args = cli._exact_digits(np.array(FALLBACK[why]))
+    assert (code == 110).all() and len(args) == 0
+    assert exact_text(FALLBACK[why]) == reference_text(FALLBACK[why])
+
+
+def test_exponent_window_holds_99_and_not_100():
+    inside = np.array([2e-99, 5e-99, -2e-99, 1.5e99, 9.9e99, -9.9e99])
+    code, _ = cli._exact_digits(inside)
+    assert (code != 110).all()
+    assert exact_text(inside) == reference_text(inside)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_log10_off_by_one_falls_back(monkeypatch, shift):
+    """With E one too small, N reaches 10**17; one too large, N stays
+    below 10**16: either way the number falls back and prints right."""
+    x = np.random.default_rng(5).standard_normal(2000) * 10.0 ** np.arange(-40, 40, 0.04)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    code, args = cli._exact_digits(x)
+    assert (code == 110).all() and len(args) == 0
+    assert exact_text(x) == reference_text(x)
+
+
+def test_validate_builds_no_formatting_table(scenario_dir, capsys):
+    cli._digit_tables.cache_clear()
+    assert cli.main(["validate", str(scenario_dir / "nested_pair.json")]) == 0
+    assert cli._digit_tables.cache_info().currsize == 0
+
+
 class _FailingFile:
     """Text file that writes half of its ``fail_at``-th write and then
     raises ENOSPC, as a full disk would, or the given exception."""
@@ -408,10 +509,10 @@ def test_killed_jobs_worker_fails_the_run_in_one_line(
     exit 2, the other worker's outputs written and no process left."""
     run_file = cli.run_scenario_file
 
-    def killed(path, out_dir):
+    def killed(path, *args):
         if path.name == "single_wavelet.json":
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_file(path, out_dir)
+        return run_file(path, *args)
 
     monkeypatch.setattr(cli, "run_scenario_file", killed)
     code = cli.main(["run", str(scenario_dir), "--out-dir", str(tmp_path),
@@ -441,9 +542,9 @@ def test_jobs_run_sequentially_with_the_same_bytes_while_sigchld_is_ignored(
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert started == []
-    # the inline run prints its two lines here, in file order
+    # each run prints its two lines from this process, in file order
     assert [line.split(":")[1] for line in capsys.readouterr().out.splitlines()] == [
-        " nested_pair.json", " single_wavelet.json"]
+        " nested_pair.json", " single_wavelet.json"] * 2
     files = {p.name: p.read_bytes() for p in forked.iterdir()}
     assert files == {p.name: p.read_bytes() for p in inline.iterdir()}
     assert len(files) == 6
