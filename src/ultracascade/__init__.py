@@ -39,54 +39,7 @@ _SUBMODULES = frozenset(_ORIGIN.values())
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallTree",
-    "build_tree",
-    "WaveletBasis",
-    "WaveletField",
-    "LeafField",
-    "build_basis",
-    "analyze",
-    "synthesize",
-    "ancestor_value",
-    "Kernel",
-    "eigenvalue",
-    "eigenvalue_table",
-    "interaction_coefficient",
-    "interaction_table",
-    "apply_pdo_direct",
-    "interaction_integral_direct",
-    "DEFAULT_LEAF_CAP",
-    "CascadeSystem",
-    "Trajectory",
-    "LeafTrajectory",
-    "SolverAbort",
-    "assemble",
-    "time_grid",
-    "solve_recurrent",
-    "solve_rk",
-    "solve_leaf",
-    "solve_all",
-    "leaf_rhs",
-    "analyze_trajectory",
-    "energy_by_level",
-    "ScenarioConfig",
-    "Scenario",
-    "ConfigError",
-    "parse_config",
-    "load_config",
-    "build_kernel",
-    "build_scenario",
-    "config_hash",
-    "random_tree",
-    "random_kernel",
-    "eigen_check",
-    "interaction_check",
-    "EIGEN_TOL",
-    "INTERACTION_TOL",
-    "CROSS_SOLVER_TOL",
-    "__version__",
-]
+__all__ = [*_ORIGIN, "__version__"]
 
 
 def __getattr__(name: str):

@@ -14,15 +14,16 @@ abort.  Outputs are deterministic: running the same config twice yields
 byte-identical files.
 
 Work runs in another process only through ``_helpers``: it forks a
-helper per task, gives back each task's return value or raises its
-exception, and a helper forks none of its own.  Three kinds of helper:
+helper per task, gives back each task's return value, pickled over a
+pipe, or raises its exception, and a helper forks none of its own.
+Three kinds of helper:
 
 * ``run <dir> --jobs N``: ``min(N, files)`` workers, worker i running
   files i, i+N, ... in turn; sequential where ``_can_fork`` is false.
 * the leaf route, when a scenario needs all three solver routes
   (``solver: "all"`` or ``check_cross``, and always in ``oracle``),
-  beside this process's recurrent and rk routes and dense checks; it
-  is reaped before any output is written.
+  beside this process's recurrent and rk routes and dense checks; its
+  trajectory comes back before any output is written.
 * each part past the first of a large trajectory CSV.
 
 The last two are never alive together and run inline at one usable CPU,
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import mmap
 import os
 import pickle
 import shutil
@@ -70,7 +70,6 @@ from .solver import (
     SolverAbort,
     Trajectory,
     analyze_trajectory,
-    coefficient_trajectory,
     energy_by_level,
     grid_steps,
     leaf_route,
@@ -78,7 +77,6 @@ from .solver import (
     solve_leaf,
     solve_recurrent,
     solve_rk,
-    time_grid,
 )
 from .spectral import Kernel
 
@@ -188,7 +186,9 @@ def _start_helper(task: Callable[[], object]) -> tuple[int, BinaryIO]:
                 sys.stdout.flush()
             except Exception as exc:  # sent to the parent, which raises it
                 result = exc
-            pickle.dump(result, writer)
+            # protocol 5 writes an array's buffer to the pipe as it is,
+            # where protocol 4 would copy it into a bytes object first
+            pickle.dump(result, writer, protocol=5)
             writer.flush()
             status = 0
         finally:
@@ -207,13 +207,17 @@ def _helpers(tasks: list[tuple[str, Callable[[], object]]]
 
     def results() -> Iterator[object]:
         for pid, (name, reader) in list(running.items()):
-            sent = reader.read()  # to the end: until the helper exits
+            # straight from the pipe, so no copy of the whole pickle is held
+            try:
+                sent = [pickle.load(reader)]
+            except (EOFError, pickle.UnpicklingError):
+                sent = []  # cut short: the helper died, its status says how
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del running[pid]
             reader.close()
-            if code:
+            if code or not sent:
                 raise OSError(f"{name} failed with status {code}")
-            result = pickle.loads(sent)
+            result = sent[0]
             if isinstance(result, BaseException):
                 raise result
             yield result
@@ -455,32 +459,18 @@ def write_energy_csv(path: Path, rows: np.ndarray) -> None:
 @contextmanager
 def _leaf_route_beside(scen: Scenario) -> Iterator[Callable[[], Trajectory]]:
     """Yield a join function that gives ``leaf_route``'s trajectory of the
-    scenario, or raises the error it raised.
-
-    With more than one usable CPU, one forked helper runs the route while
-    the block runs: the parent first checks the trajectory budget and
-    allocates a shared anonymous map for the coefficients, the helper
-    writes them there and returns only the metadata.  On exit the helper
-    is killed if still running, and reaped.  Otherwise the join function
-    runs the route inline when called.
+    scenario, or raises the error it raised.  The route is one task: at
+    one usable CPU the join function is that task, run inline; otherwise
+    a helper runs it while the block runs, and the join function waits
+    for its result.  On exit the helper is killed if running, and reaped.
     """
-    cfg, system = scen.config, scen.system
-    args = (system, scen.v0, cfg.t_end, cfg.dt)
+    cfg = scen.config
+    task = functools.partial(leaf_route, scen.system, scen.v0, cfg.t_end, cfg.dt)
     if _usable_cpus() == 1:
-        yield functools.partial(leaf_route, *args)
+        yield task
         return
-    grid = time_grid(cfg.t_end, cfg.dt, system.n_slots)
-    shape = (len(grid), system.n_slots)
-    shared = mmap.mmap(-1, max(1, 16 * shape[0] * shape[1]))
-    values = np.frombuffer(shared, np.complex128, shape[0] * shape[1]).reshape(shape)
-
-    def run_route() -> dict:
-        traj = leaf_route(*args)
-        values[...] = traj.values
-        return traj.metadata
-
-    with _helpers([("leaf-route helper", run_route)]) as done:
-        yield lambda: coefficient_trajectory(system.basis, grid, values, next(done))
+    with _helpers([("leaf-route helper", task)]) as done:
+        yield lambda: next(done)
 
 
 def _solve_canonical(scen: Scenario, leaf: Callable[[], Trajectory] | None
@@ -511,11 +501,10 @@ def _solve_canonical(scen: Scenario, leaf: Callable[[], Trajectory] | None
 
 
 def _self_checks(scen: Scenario, eigen_kernels: list[tuple[str, Kernel]],
-                 phi_kernels: list[tuple[str, Kernel]], spread: dict | None) -> dict:
+                 phi_kernels: list[tuple[str, Kernel]]) -> dict:
     """Self-check records: the dense eigen and interaction checks over
-    (name, kernel) lists, and the route spread of ``solve_all``.  An empty
-    list or a None spread leaves its check out; a dense check the tree is
-    too big for gets a ``skipped`` record with the reason."""
+    (name, kernel) lists.  An empty list leaves its check out; a check
+    the tree is too big for gets a ``skipped`` record with the reason."""
     out: dict = {}
     for name, kernels in (("eigen", eigen_kernels), ("interaction", phi_kernels)):
         reason = kernels and dense_check_refusal(name, scen.tree)
@@ -529,9 +518,6 @@ def _self_checks(scen: Scenario, eigen_kernels: list[tuple[str, Kernel]],
             found = [interaction_check(kernel, scen.basis) for _, kernel in kernels]
             out[name] = {"pairs": sum(n for _, n in found),
                          **_verdict(max(d for d, _ in found), INTERACTION_TOL)}
-    if spread is not None:
-        out["cross_solver"] = _verdict(spread["max"], CROSS_SOLVER_TOL,
-                                       "max_disagreement")
     return out
 
 
@@ -618,10 +604,11 @@ def run_scenario_file(config_path: Path, out_dir: Path | None,
     # the dense checks run while a helper may run the leaf route
     with _leaf_route_beside(scen) if all_routes else nullcontext() as leaf:
         checks = _self_checks(scen, own if flags.get("check_eigen") else [],
-                              own[:1] if flags.get("check_phi") else [], None)
+                              own[:1] if flags.get("check_phi") else [])
         canonical, solver_metadata, disagreement = _solve_canonical(scen, leaf)
     if flags.get("check_cross"):
-        checks.update(_self_checks(scen, [], [], disagreement))
+        checks["cross_solver"] = _verdict(disagreement["max"], CROSS_SOLVER_TOL,
+                                          "max_disagreement")
 
     summary = {
         "config_file": config_path.name,
@@ -728,12 +715,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     kernels += [(f"random-{i}", random_kernel(scen.tree, rng))
                 for i in range(ORACLE_RANDOM_KERNELS)]
     with _leaf_route_beside(scen) as leaf:
-        checks = _self_checks(scen, kernels, kernels, None)
+        checks = _self_checks(scen, kernels, kernels)
         # the dense checks report before the solve, which may abort
         for name, rec in checks.items():
             print(_check_line(name, rec, scen.basis.n_slots))
         _, _, spread = _solve_canonical(scen, leaf)
-    checks.update(_self_checks(scen, [], [], spread))
+    checks["cross_solver"] = _verdict(spread["max"], CROSS_SOLVER_TOL,
+                                      "max_disagreement")
     print(_check_line("cross_solver", checks["cross_solver"], scen.basis.n_slots))
     passed = all(rec.get("pass", True) for rec in checks.values())
     return EXIT_OK if passed else EXIT_CHECK_FAILED

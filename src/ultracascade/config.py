@@ -285,10 +285,14 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
     A shorthand tree over ``tree.MAX_VERTICES`` balls, or a stored
     trajectory over ``solver.MAX_TRAJECTORY_BYTES``, is refused before
-    either is allocated.
+    either is allocated; so is a tree of a single ball, which has no
+    wavelet slot to solve.
     """
     try:
         tree = build_tree(cfg.tree)  # refuses a shorthand tree over budget
+        if len(tree.internal) == 0:
+            raise ConfigError("tree needs at least one internal ball: "
+                              "a single ball carries no wavelet slot")
         basis = build_basis(tree, cfg.basis)
         check_trajectory_budget(grid_steps(cfg.t_end, cfg.dt), basis.n_slots)
         interaction = build_kernel(tree, cfg.interaction)

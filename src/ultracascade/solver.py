@@ -145,7 +145,7 @@ def assemble(
     internal = tree.internal
     eta = eigenvalue_table(dissipation)
     paths = tree.root_path_table()[internal]
-    anc = np.maximum(tree.parent, 0)[paths]
+    anc = tree.up[paths]
     n_wavelets = np.bincount(basis.slot_vertex, minlength=tree.n_vertices)
     # entries (row, path position, wavelet index) in C order follow the
     # reduction order: parent to root, then wavelet index ascending
@@ -506,6 +506,11 @@ def _leaf_sweep(
     it is applied to g = f - f[0]: a constant field gives g == 0 and an
     exact zero.  No wavelet or closed form is used.
 
+    It keeps these forms, not ``BallTree.ball_sums`` and ``path_sums``:
+    on 64 leaves, where the leaf route is a run's critical path, one path
+    sum by gather takes about 5 us against 22 us by levels, which win only
+    from some thousands of leaves on, a size no benchmark workload runs.
+
     ``f`` may also be an (m, L) stack of fields.  It is swept as m
     disjoint copies of the tree side by side: every gather stays 1-D,
     every root-path sum is a (D, m * V) sum over axis 0, and the cumsums
@@ -518,10 +523,9 @@ def _leaf_sweep(
     nu = tree.measure[tree.leaves]
     start = tree.leaf_ranges[:, 0].astype(np.intp)
     end = tree.leaf_ranges[:, 1].astype(np.intp)
-    # parent of every vertex, the root mapped to itself: every per-vertex
-    # difference x[up] - x then vanishes at the root, which is the slot the
-    # path table pads with
-    up = np.maximum(tree.parent, 0).astype(np.intp)
+    # the root is its own ``up``: every per-vertex difference x[up] - x
+    # then vanishes at the root, which is the slot the path table pads with
+    up = tree.up
     # depth-major copies: numpy sums (D, n) over axis 0 faster than (n, D)
     # over axis 1
     paths = np.ascontiguousarray(tree.root_path_table().T)

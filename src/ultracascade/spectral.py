@@ -145,7 +145,7 @@ def eigenvalue_table(kernel: Kernel) -> np.ndarray:
     """
     tree = kernel.tree
     paths = tree.root_path_table()
-    up = np.maximum(tree.parent, 0)[paths]
+    up = tree.up[paths]
     v = kernel.values
     terms = np.empty((tree.n_vertices, paths.shape[1] + 1), dtype=np.complex128)
     terms[:, 0] = v * tree.measure
@@ -189,7 +189,7 @@ def interaction_table(kernel: Kernel) -> np.ndarray:
     """
     tree = kernel.tree
     paths = tree.root_path_table()
-    up = np.maximum(tree.parent, 0)[paths]
+    up = tree.up[paths]
     # float_power is libm pow, as the scalar ``** 2`` above; on arrays
     # ``** 2`` is x * x, which can differ in the last bit
     terms = np.float_power(tree.measure[paths], 2) * (

@@ -13,7 +13,10 @@ A tree is held as preorder arrays.  ``BallTree`` takes the ``parent`` and
 ``child_slot`` of every vertex, the leaf measures and the diameters, and
 derives depths (by pointer doubling, O(V log depth) for V vertices),
 measures, leaves and leaf ranges with numpy passes, one per depth level:
-Python loops over the levels only, never over the vertices.
+Python loops over the levels only, never over the vertices.  The tree
+keeps those levels for its two level passes, which the wavelet
+transforms use: ``ball_sums`` (bottom-up sums of leaf values over every
+ball) and ``path_sums`` (top-down sums along every root path).
 ``build_tree`` fills those arrays by index arithmetic for the shorthand
 p-adic tree and by one walk over an explicit nested spec.  The (V, p_max)
 ``child_table`` behind ``vertex(path)`` and the basis is built by numpy
@@ -93,11 +96,13 @@ class BallTree:
         np.cumsum(np.bincount(depth), out=offsets[1:])
         size = np.ones(n, dtype=np.intp)  # vertices in each subtree
         measure = np.where(branching == 0, leaf_measure, 0.0)
+        levels = []
         for d in range(len(offsets) - 2, 0, -1):
             verts = by_depth[offsets[d]:offsets[d + 1]]
             up = parent[verts]
             first = np.r_[True, up[1:] != up[:-1]]
             starts = np.flatnonzero(first)
+            levels.append((verts, up, starts))
             counts = np.diff(np.r_[starts, len(verts)])
             # child m of v is v + 1 + the subtree sizes of children 0..m-1
             follows = np.r_[0, verts[:-1] + size[verts[:-1]]]
@@ -135,11 +140,14 @@ class BallTree:
         self.internal = np.flatnonzero(branching > 0).astype(np.int32)
         # row v: the [start, end) range of leaf positions in the ball v
         self.leaf_ranges = np.stack((before[:n], before[np.arange(n) + size]), axis=1)
-        self._by_depth = by_depth
-        self._depth_offsets = offsets
+        # the parent of every vertex, the root mapped to itself
+        self.up = np.maximum(parent, 0).astype(np.intp)
+        # per depth 1, 2, ...: its vertices in preorder, where siblings sit
+        # next to each other, their parents and the start of every sibling run
+        self._levels = tuple(reversed(levels))
         for arr in (self.parent, self.child_slot, self.depth, self.branching,
                     self.measure, self.diameter, self.leaves, self.internal,
-                    self.leaf_ranges, self._by_depth, self._depth_offsets):
+                    self.leaf_ranges, self.up, *chain.from_iterable(levels)):
             arr.setflags(write=False)
 
     def _check_regular(self, branching: np.ndarray, leaf_measure: np.ndarray) -> None:
@@ -199,10 +207,6 @@ class BallTree:
         table[self.parent[1:], self.child_slot[1:]] = np.arange(1, self.n_vertices)
         table.setflags(write=False)
         return table
-
-    def level(self, d: int) -> np.ndarray:
-        """Vertices at depth ``d``, in preorder: siblings are adjacent."""
-        return self._by_depth[self._depth_offsets[d]:self._depth_offsets[d + 1]]
 
     # -- basic queries ------------------------------------------------------
 
@@ -305,6 +309,32 @@ class BallTree:
             raise ValueError(f"invalid vertex id {v}")
         return v
 
+    # -- level passes --------------------------------------------------------
+
+    def ball_sums(self, w: np.ndarray) -> np.ndarray:
+        """Sums of leaf values over every ball: (..., L) -> (..., V).
+
+        Summed bottom-up, one ``np.add.reduceat`` per depth, so each sum
+        rounds over its own leaves only; the leaf entries are ``w``.
+        """
+        sums = np.zeros(w.shape[:-1] + (self.n_vertices,), dtype=w.dtype)
+        sums[..., self.leaves] = w
+        for verts, parent, starts in reversed(self._levels):
+            sums[..., parent[starts]] = np.add.reduceat(
+                sums[..., verts], starts, axis=-1
+            )
+        return sums
+
+    def path_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of per-vertex values along every root path, the root and
+        the vertex included: (..., V) -> (..., V), accumulated top-down,
+        one depth at a time."""
+        acc = x.copy()
+        by_vertex = acc.T  # vertices on the first axis index fastest
+        for verts, parent, _ in self._levels:
+            by_vertex[verts] += by_vertex[parent]
+        return acc
+
     # -- root-path table (the leaf-route sweeps and the coefficient layout) --
 
     def root_path_table(self) -> np.ndarray:
@@ -315,12 +345,11 @@ class BallTree:
         per-vertex quantity along each root path whenever ``x[0] == 0``.
         Built afresh on each call, in O(V * D), so no tree keeps one alive.
         """
-        up = np.maximum(self.parent, 0).astype(np.intp)
         cur = np.arange(self.n_vertices, dtype=np.intp)
         paths = np.zeros((self.n_vertices, int(self.depth.max())), dtype=np.intp)
         for j in range(paths.shape[1]):
             paths[:, j] = cur
-            cur = up[cur]
+            cur = self.up[cur]
         return paths
 
     # -- serialization ------------------------------------------------------

@@ -12,11 +12,11 @@ scheme needs equal child measures and yields the classic complex characters.
 
 A wavelet is constant on every ball below its own, so both transforms are
 exact tree sweeps over the per-slot coefficient rows, with no (slots x
-leaves) matrix: ``analyze`` pairs the conjugate rows with the subtree sums
-of f * nu, summed bottom-up one depth at a time, and ``synthesize`` adds,
-top-down, the piece each ball's wavelets put on every child.  Each is
-O(V * p) per field, for V vertices and branching p, and holds O(V)
-numbers.  A dense (slots x leaves) basis matrix is a test reference only;
+leaves) matrix: ``analyze`` pairs the conjugate rows with the tree's
+``ball_sums`` of f * nu, and ``synthesize`` takes the tree's ``path_sums``
+of the piece each ball's wavelets put on every child.  Each is O(V * p)
+per field, for V vertices and branching p, and holds O(V) numbers.  A
+dense (slots x leaves) basis matrix is a test reference only;
 ``WaveletBasis.gram_matrix`` stacks one as a small-tree diagnostic.
 
 ``build_basis`` is O(V * p) numpy plus one small Python loop per group of
@@ -186,19 +186,6 @@ class WaveletBasis:
         labels = self.tree.labels
         return tuple(f"{labels[v]}:{j}" for v, j in self.slots)
 
-    @cached_property
-    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The vertices of each depth 1, 2, ... in preorder, where siblings
-        sit next to each other, with their parents and the start of every
-        sibling run."""
-        levels = []
-        for d in range(1, int(self.tree.depth.max()) + 1):
-            verts = self.tree.level(d)
-            parent = self.tree.parent[verts]
-            starts = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
-            levels.append((verts, parent, starts))
-        return levels
-
     @property
     def n_slots(self) -> int:
         return len(self.slot_vertex)
@@ -207,19 +194,12 @@ class WaveletBasis:
         """Coefficients of leaf-value rows: (..., L) -> (..., N), unchecked.
 
         Coefficient s is sum_m conj(slot_coeffs[s, m]) F(child_m), F the
-        subtree sums of values * nu, summed bottom-up one depth at a time
-        so that each rounds over its own leaves only.  The sum runs over
-        child positions: the largest temporary holds one subtree sum per
-        vertex and row.
+        ball sums of values * nu (``BallTree.ball_sums``).  The sum runs
+        over child positions: the largest temporary holds one ball sum
+        per vertex and row.
         """
         tree = self.tree
-        sums = np.zeros(values.shape[:-1] + (tree.n_vertices,),
-                        dtype=np.complex128)
-        sums[..., tree.leaves] = values * tree.measure[tree.leaves]
-        for verts, parent, starts in reversed(self._levels):
-            sums[..., parent[starts]] = np.add.reduceat(
-                sums[..., verts], starts, axis=-1
-            )
+        sums = tree.ball_sums(values * tree.measure[tree.leaves])
         out = np.zeros(values.shape[:-1] + (self.n_slots,), dtype=np.complex128)
         conj = self.slot_coeffs.conj()
         for m in range(conj.shape[1]):
@@ -231,15 +211,13 @@ class WaveletBasis:
 
         Every non-root ball w gets the piece its parent's wavelets put on
         it, sum_j v[(parent, j)] c[j, m(w)]; a leaf's value is the sum of
-        the pieces along its root path, accumulated top-down.
+        the pieces along its root path (``BallTree.path_sums``).
         """
         tree = self.tree
-        acc = np.zeros(tree.n_vertices, dtype=np.complex128)
+        pieces = np.zeros(tree.n_vertices, dtype=np.complex128)
         # padding adds v * 0 to the root's entry, which stays 0
-        np.add.at(acc, self.slot_children, vec[:, None] * self.slot_coeffs)
-        for verts, parent, _ in self._levels:
-            acc[verts] += acc[parent]
-        return acc[tree.leaves]
+        np.add.at(pieces, self.slot_children, vec[:, None] * self.slot_coeffs)
+        return tree.path_sums(pieces)[tree.leaves]
 
     def has_slot(self, vertex: int, j: int) -> bool:
         vertex, j = int(vertex), int(j)

@@ -600,6 +600,36 @@ def test_cli_validate_rejects_grid_that_run_rejects(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+SINGLE_BALL = "tree needs at least one internal ball"
+
+
+@pytest.mark.parametrize("solver, flags", [
+    ("recurrent", {}), ("rk", {}), ("leaf", {}), ("all", {}),
+    ("recurrent", {"check_cross": True}), ("recurrent", {"check_phi": True}),
+])
+def test_single_ball_tree_is_refused_by_validate_run_and_oracle(
+    tmp_path, capsys, solver, flags
+):
+    """A tree of one ball has no wavelet slot: every command gives one
+    line with the same message and exit 2, and ``run`` writes nothing."""
+    raw = minimal_config()
+    raw["tree"] = {"root": {"measure": 1.0}}
+    raw["initial"] = {"wavelets": []}
+    raw["solver"], raw["oracles"] = solver, flags
+    path = tmp_path / "single_ball.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    for args, prefix in ((["validate"], "invalid: "),
+                         (["run", "--out-dir", str(out)], "error: "),
+                         (["oracle"], "error: ")):
+        assert cli.main([args[0], str(path), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix + SINGLE_BALL)
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["single_ball.json"]
+
+
 def oversized_check_config(depth: int, flag: str) -> dict:
     raw = minimal_config()
     raw["tree"] = {"p": 2, "depth": depth}

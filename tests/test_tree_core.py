@@ -269,3 +269,60 @@ def test_padic_build_memory_at_depth_16():
     assert basis.n_slots == 2 ** 16 - 1
     # 131071 balls: the kept tree and basis arrays are about 14 MiB
     assert peak < 24 * 2 ** 20, peak / 2 ** 20
+
+
+def level_pass_trees() -> list[uc.BallTree]:
+    """Seeded random trees, branching 2-13 with non-uniform measures, and
+    shorthand trees with p = 2, 3, 4."""
+    rng = np.random.default_rng(18)
+    trees = [oracles.random_tree(rng, max_leaves=120, min_branch=9,
+                                 max_branch=13, max_depth=3) for _ in range(4)]
+    trees += [oracles.random_tree(rng, max_leaves=80, max_branch=6)
+              for _ in range(8)]
+    trees += [uc.build_tree({"p": p, "depth": d, "A": 1.3})
+              for p, d in ((2, 1), (2, 7), (3, 4), (4, 3))]
+    return trees
+
+
+def complex_rows(rng, m: int, n: int) -> np.ndarray:
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+@pytest.mark.parametrize("i, tree", list(enumerate(level_pass_trees())))
+def test_ball_sums_sum_each_ball_over_its_leaves(i, tree):
+    rng = np.random.default_rng(i)
+    # magnitudes over six decades, so a sum rounds over unequal terms
+    scale = 10.0 ** rng.uniform(-3, 3, tree.n_leaves)
+    w = complex_rows(rng, 1, tree.n_leaves)[0] * scale
+    sums = tree.ball_sums(w)
+    assert sums.shape == (tree.n_vertices,) and sums.dtype == np.complex128
+    assert sums[tree.leaves].tobytes() == w.tobytes()
+    for v, (s, e) in enumerate(tree.leaf_ranges.tolist()):
+        assert abs(sums[v] - w[s:e].sum()) <= 1e-14 * np.abs(w[s:e]).sum()
+
+
+@pytest.mark.parametrize("i, tree", list(enumerate(level_pass_trees())))
+def test_path_sums_sum_each_root_path(i, tree):
+    rng = np.random.default_rng(100 + i)
+    x = complex_rows(rng, 1, tree.n_vertices)[0]
+    sums = tree.path_sums(x)
+    assert sums.shape == x.shape and sums[0] == x[0]
+    for v in range(tree.n_vertices):
+        path = [v]
+        while path[-1]:
+            path.append(int(tree.parent[path[-1]]))
+        assert abs(sums[v] - x[path].sum()) <= 1e-14 * np.abs(x[path]).sum()
+
+
+@pytest.mark.parametrize("i, tree", list(enumerate(level_pass_trees())))
+def test_level_passes_give_each_row_of_a_stack_its_one_row_values(i, tree):
+    rng = np.random.default_rng(200 + i)
+    leaf_rows = complex_rows(rng, 3, tree.n_leaves)
+    vertex_rows = complex_rows(rng, 3, tree.n_vertices)
+    given = vertex_rows.copy()
+    stacked_balls = tree.ball_sums(leaf_rows)
+    stacked_paths = tree.path_sums(vertex_rows)
+    for k in range(3):
+        assert stacked_balls[k].tobytes() == tree.ball_sums(leaf_rows[k]).tobytes()
+        assert stacked_paths[k].tobytes() == tree.path_sums(vertex_rows[k]).tobytes()
+    assert vertex_rows.tobytes() == given.tobytes()  # summed in a copy

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -671,6 +672,25 @@ def test_killed_leaf_route_helper_fails_the_run_in_one_line(
     assert no_child_left()
 
 
+class KilledWhilePickled:
+    """Kills the process that pickles it, part of the way into a stream."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_helper_killed_while_sending_fails_with_its_status():
+    """A stream cut short by a killed helper, after 512 KiB of it went
+    through the pipe, is no unpickling error: the join reaps the helper
+    and raises the status line."""
+    task = lambda: [np.zeros(1 << 16), KilledWhilePickled()]  # noqa: E731
+    with pytest.raises(OSError) as raised:
+        with cli._helpers([("cut helper", task)]) as done:
+            next(done)
+    assert str(raised.value) == f"cut helper failed with status -{int(signal.SIGKILL)}"
+    assert no_child_left()
+
+
 @pytest.mark.parametrize("fallback", ["one usable CPU", "SIGCHLD ignored"])
 def test_leaf_route_inline_fallbacks_write_the_same_bytes(
     tmp_path, scenario_dir, monkeypatch, fallback
@@ -711,6 +731,37 @@ def test_oracle_prints_the_same_lines_with_the_leaf_route_forked(
     assert printed[0] == printed[1] and len(printed[0].out.splitlines()) == 3
     assert len(started) == 1
     assert no_child_left()
+
+
+def test_forked_leaf_route_join_holds_the_trajectory_once(monkeypatch):
+    """The helper pickles its trajectory with protocol 5 and the join
+    unpickles it straight from the pipe, so the join holds the values
+    once, not a pickle beside them.  They are larger than a 64 KiB pipe
+    buffer, so the helper blocks on the pipe until the join reads."""
+    raw = {
+        "tree": {"p": 2, "depth": 6},
+        "interaction": {"type": "power", "a": [1.0, 0.0], "b": 1.0},
+        "dissipation": {"type": "power", "a": [1.0, 0.0], "b": 0.0},
+        "initial": {"wavelets": [["", 0, 0.5, 0.0], ["0.1", 0, 0.2, 0.1]]},
+        "t_end": 0.2,
+        "dt": 0.001,
+    }
+    scen = uc.build_scenario(uc.parse_config(raw))
+    use_cpus(monkeypatch, 2)
+    started = count_helpers(monkeypatch)
+    with cli._leaf_route_beside(scen) as leaf:
+        tracemalloc.start()
+        try:
+            traj = leaf()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(started) == 1 and no_child_left()
+    assert traj.values.nbytes > 1 << 16
+    assert peak < 1.5 * traj.values.nbytes, peak / traj.values.nbytes
+    inline = uc.solver.leaf_route(scen.system, scen.v0, raw["t_end"], raw["dt"])
+    assert traj.values.tobytes() == inline.values.tobytes()
+    assert traj.metadata == inline.metadata and traj.labels == inline.labels
 
 
 def test_leaf_route_helper_is_reaped_before_the_csv_helpers_start(
