@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 solver
 abort.  Outputs are deterministic: running the same config twice yields
-byte-identical files.
+byte-identical files.  ``run`` writes a scenario's three outputs to temp
+files beside them and renames them only once all three are written, so
+an error leaves the old set, or none, in place.
 
 Work runs in another process only through ``_helpers``: it forks a
 helper per task, gives back each task's return value, pickled over a
@@ -22,13 +24,16 @@ Three kinds of helper:
   files i, i+N, ... in turn; sequential where ``_can_fork`` is false.
 * the leaf route, when a scenario needs all three solver routes
   (``solver: "all"`` or ``check_cross``, and always in ``oracle``),
-  beside this process's recurrent and rk routes and dense checks; its
-  trajectory comes back before any output is written.
+  beside this process's recurrent and rk routes and dense checks.  A
+  recurrent or rk canonical trajectory's CSVs are written while it
+  runs; the summary, and a leaf canonical trajectory's CSVs, follow
+  its join.
 * each part past the first of a large trajectory CSV.
 
-The last two are never alive together and run inline at one usable CPU,
-so at most ``_usable_cpus()`` processes are busy at once.  Every helper
-gives the bytes the inline work gives.  Run as ``python -m ultracascade``
+The last two run inline at one usable CPU, and a trajectory CSV written
+while the leaf-route helper runs gets one CPU fewer, so at most
+``_usable_cpus()`` processes are busy at once.  Every helper gives the
+bytes the inline work gives.  Run as ``python -m ultracascade``
 or the ``ultracascade`` script, BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` is set.
 """
@@ -125,18 +130,21 @@ _in_helper = False
 
 
 @contextmanager
-def _replaced_atomically(path: Path) -> Iterator[TextIO]:
-    """Text handle on a temp file beside ``path`` that replaces ``path`` in
-    one rename once the block exits cleanly.  On any error the temp file
-    is removed and ``path`` keeps its old content, or stays absent."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _replaced_atomically(*paths: Path) -> Iterator[list[Path]]:
+    """A temp path beside each of ``paths``, for the block to write.  Once
+    the block exits cleanly, each temp file replaces its path in one
+    rename, and no rename comes before the whole block is done.  On any
+    error every temp file is removed and every path keeps its old content,
+    or stays absent."""
+    paths = [Path(path) for path in paths]
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -246,7 +254,8 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
       ``%d``; 1-16 ``%d.%0{w}d`` with w fraction digits; 17-20 ``0.``
       and 0-3 zeros before ``%d``; 21-37 and 38-54 ``%d.%0{s-1}de+%02d``
       and ``e-`` with s = 1-17 significant digits (no point at s = 1);
-      55 more for a minus sign; 110 the fallback, no integer.
+      55 more for a minus sign; 110 the fallback; 111 and 112 ``0`` and
+      ``-0``.  The last three take no integer.
     * ``takes``: which of (leading part, other digits, |E|) each code's
       piece takes.
     * by E = -99..99 (row E + 99) and s (column): the layout code, and
@@ -259,10 +268,11 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
                + ["0." + "0" * z + "%d" for z in range(4)]
                + [f"%d{f'.%0{s - 1}d' if s > 1 else ''}e{sign}%02d"
                   for sign in "+-" for s in range(1, 18)])
-    pieces = np.array(layouts + ["-" + p for p in layouts] + [""], dtype=object)
+    pieces = np.array(layouts + ["-" + p for p in layouts] + ["", "0", "-0"],
+                      dtype=object)
     takes = ([(1, 0, 0)] + [(1, 1, 0)] * 16 + [(0, 1, 0)] * 4
              + [(1, 0, 1), *[(1, 1, 1)] * 16] * 2)
-    takes = np.array(takes * 2 + [(0, 0, 0)], dtype=bool).T.copy()
+    takes = np.array(takes * 2 + [(0, 0, 0)] * 3, dtype=bool).T.copy()
     exponents = range(-_EXACT_EXPONENT, _EXACT_EXPONENT + 1)
     code, s = np.zeros((len(exponents), 18), dtype=np.intp), np.arange(18)
     cut, hi, lo = np.zeros(len(exponents), dtype=np.intp), [], []
@@ -292,13 +302,15 @@ def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     double-double: Dekker's exact product of |x| with hi, plus |x| * lo.
     Its error is below 1e-13 of a unit, so its correctly rounded integer
     N is the 17 digits ``%.17g`` prints whenever its fractional part lies
-    farther than ``_NEAR_TIE`` from 1/2.  Code 110, the fallback, is left
-    to near-ties (``1 + 2**-17`` is an exact one), N outside
-    [10**16, 10**17) (log10 off by one, or N rounded up to 10**17),
-    |E| > ``_EXACT_EXPONENT``, zeros, subnormals, infinities and nan.
+    farther than ``_NEAR_TIE`` from 1/2.  Zeros get codes of their own.
+    Code 110, the fallback, is left to near-ties (``1 + 2**-17`` is an
+    exact one), N outside [10**16, 10**17) (log10 off by one, or N rounded
+    up to 10**17), |E| > ``_EXACT_EXPONENT``, subnormals, infinities and
+    nan.
     """
     _, takes, code_of, cut_of, hi, hi_hi, hi_lo, lo, pow10 = _digit_tables()
     a = np.abs(x)
+    zero = np.flatnonzero(a == 0)
     exact = (a >= 10.0 ** -_EXACT_EXPONENT) & (a < 10.0 ** (_EXACT_EXPONENT + 1))
     a[~exact] = 1.0
     e10 = np.floor(np.log10(a)).astype(np.intp)
@@ -334,6 +346,7 @@ def _exact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code = code_of[row * 18 + col]
     code += 55 * (x < 0)
     code[~exact] = 110
+    code[zero] = 111 + np.signbit(x[zero])
     args = np.stack((lead, rest, np.abs(row - _EXACT_EXPONENT)), axis=1)
     used = np.stack([take[code] for take in takes], axis=1)
     return code, args.ravel().take(np.flatnonzero(used))
@@ -367,7 +380,8 @@ def _row_formatter(seps: list[str]) -> Callable[[np.ndarray], str]:
     return text
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
+def write_trajectory_csv(path: Path, traj: Trajectory,
+                         cpus: int | None = None) -> None:
     """Header ``t,<slot>.re,<slot>.im,...`` with slots in lexicographic order.
 
     Every number is written as ``%.17g`` writes it: ``format(x, ".17g")``,
@@ -377,8 +391,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     bit pattern is the same in every row is formatted once and becomes
     literal text in the separators, so only the numbers that vary are
     formatted per row.  From ``2 * CSV_SPLIT_NUMBERS`` varying numbers on,
-    the rows are cut into up to one contiguous part per usable CPU (at
-    most ``CSV_MAX_PARTS``), each of at least ``CSV_SPLIT_NUMBERS``
+    the rows are cut into up to one contiguous part per CPU of ``cpus``
+    (default ``_usable_cpus()``), each of at least ``CSV_SPLIT_NUMBERS``
     numbers: this process formats the first, a forked helper each other
     one into a part file, and the parts are appended in order.  Every
     helper is reaped before this returns or raises.
@@ -419,7 +433,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         with open(part, "w", encoding="utf-8", newline="") as fh:
             write_rows(fh, lo, hi)
 
-    n_parts = max(1, min(_usable_cpus(), n_rows * per_row // CSV_SPLIT_NUMBERS, n_rows))
+    cpus = _usable_cpus() if cpus is None else cpus
+    n_parts = max(1, min(cpus, n_rows * per_row // CSV_SPLIT_NUMBERS, n_rows))
     cuts = [n_rows * i // n_parts for i in range(n_parts + 1)]
     parts = [path.with_name(f".{path.name}.{os.getpid()}.part{i}.tmp")
              for i in range(1, n_parts)]
@@ -427,7 +442,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
               functools.partial(write_part, part, lo, hi))
              for part, lo, hi in zip(parts, cuts[1:-1], cuts[2:])]
     try:
-        with _replaced_atomically(path) as fh:
+        with (_replaced_atomically(path) as (tmp,),
+              open(tmp, "w", encoding="utf-8", newline="") as fh):
             fh.write(
                 "t" + "".join(
                     f",{traj.labels[i]}.re,{traj.labels[i]}.im" for i in order
@@ -450,7 +466,8 @@ def write_energy_csv(path: Path, rows: np.ndarray) -> None:
     writes."""
     rows_text = _row_formatter([",", ",", "\n"])
     step = max(1, CSV_BLOCK_NUMBERS // 3)
-    with _replaced_atomically(path) as fh:
+    with (_replaced_atomically(path) as (tmp,),
+          open(tmp, "w", encoding="utf-8", newline="") as fh):
         fh.write("t,depth,energy\n")
         for k in range(0, len(rows), step):
             fh.write(rows_text(rows[k:k + step]))
@@ -473,20 +490,29 @@ def _leaf_route_beside(scen: Scenario) -> Iterator[Callable[[], Trajectory]]:
         yield lambda: next(done)
 
 
-def _solve_canonical(scen: Scenario, leaf: Callable[[], Trajectory] | None
-                     ) -> tuple[Trajectory, dict, dict | None]:
-    """Run the configured solver(s); return (canonical trajectory,
-    per-solver metadata, cross-solver disagreement or None).  With a
+def _solve_routes(scen: Scenario, leaf: Callable[[], Trajectory] | None,
+                  stage: Callable[[Trajectory, int], None] | None = None
+                  ) -> tuple[dict, dict | None]:
+    """Run the configured solver(s); return (per-solver metadata,
+    cross-solver disagreement or None), and hand the canonical trajectory
+    and a CPU budget for its writers to ``stage``, if given.  With a
     ``leaf`` join function all three routes run, as ``solve_all`` runs
-    them: recurrent, rk, then the leaf route's trajectory from ``leaf``."""
+    them: recurrent, rk, then the leaf route's trajectory from ``leaf``.
+    A recurrent or rk canonical trajectory is staged before the join, so
+    while a helper runs the leaf route it is written on one CPU fewer."""
     cfg = scen.config
+    stage = stage or (lambda traj, cpus: None)
     args = (scen.system, scen.v0, cfg.t_end, cfg.dt)
     if leaf is not None:
-        trajs = {"recurrent": solve_recurrent(*args), "rk": solve_rk(*args),
-                 "leaf": leaf()}
-        canonical = trajs["recurrent" if cfg.solver == "all" else cfg.solver]
+        trajs = {"recurrent": solve_recurrent(*args), "rk": solve_rk(*args)}
+        canonical = "recurrent" if cfg.solver == "all" else cfg.solver
+        if canonical in trajs:
+            stage(trajs[canonical], max(1, _usable_cpus() - 1))
+        trajs["leaf"] = leaf()
+        if canonical == "leaf":
+            stage(trajs["leaf"], _usable_cpus())
         metadata = {name: t.metadata for name, t in trajs.items()}
-        return canonical, metadata, route_spread(trajs)
+        return metadata, route_spread(trajs)
     if cfg.solver == "recurrent":
         traj = solve_recurrent(*args)
     elif cfg.solver == "rk":
@@ -497,7 +523,8 @@ def _solve_canonical(scen: Scenario, leaf: Callable[[], Trajectory] | None
             scen.f0, cfg.t_end, cfg.dt,
         )
         traj = analyze_trajectory(leaf_traj, scen.basis)
-    return traj, {cfg.solver: traj.metadata}, None
+    stage(traj, _usable_cpus())
+    return {cfg.solver: traj.metadata}, None
 
 
 def _self_checks(scen: Scenario, eigen_kernels: list[tuple[str, Kernel]],
@@ -601,37 +628,41 @@ def run_scenario_file(config_path: Path, out_dir: Path | None,
     flags = cfg.oracles
     own = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
     all_routes = cfg.solver == "all" or flags.get("check_cross", False)
-    # the dense checks run while a helper may run the leaf route
-    with _leaf_route_beside(scen) if all_routes else nullcontext() as leaf:
-        checks = _self_checks(scen, own if flags.get("check_eigen") else [],
-                              own[:1] if flags.get("check_phi") else [])
-        canonical, solver_metadata, disagreement = _solve_canonical(scen, leaf)
-    if flags.get("check_cross"):
-        checks["cross_solver"] = _verdict(disagreement["max"], CROSS_SOLVER_TOL,
-                                          "max_disagreement")
+    outputs = (target / names[kind] for kind in ("trajectory", "energy", "summary"))
+    # all three outputs are written in full before any of them is replaced
+    with _replaced_atomically(*outputs) as (trajectory, energy, summary_file):
+        def stage(canonical: Trajectory, cpus: int) -> None:
+            write_trajectory_csv(trajectory, canonical, cpus)
+            write_energy_csv(energy, energy_by_level(canonical))
 
-    summary = {
-        "config_file": config_path.name,
-        "config_hash": config_hash(cfg),
-        "solver": cfg.solver,
-        "basis": cfg.basis,
-        "t_end": cfg.t_end,
-        "dt": cfg.dt,
-        "n_leaves": scen.tree.n_leaves,
-        "n_slots": scen.system.n_slots,
-        "n_couplings": scen.system.n_couplings,
-        "solver_metadata": solver_metadata,
-        "outputs": names,
-    }
-    if disagreement is not None:
-        summary["cross_disagreement"] = disagreement
-    if checks:
-        summary["oracle_checks"] = checks
+        # the dense checks run while a helper may run the leaf route
+        with _leaf_route_beside(scen) if all_routes else nullcontext() as leaf:
+            checks = _self_checks(scen, own if flags.get("check_eigen") else [],
+                                  own[:1] if flags.get("check_phi") else [])
+            solver_metadata, disagreement = _solve_routes(scen, leaf, stage)
+        if flags.get("check_cross"):
+            checks["cross_solver"] = _verdict(disagreement["max"], CROSS_SOLVER_TOL,
+                                              "max_disagreement")
 
-    write_trajectory_csv(target / names["trajectory"], canonical)
-    write_energy_csv(target / names["energy"], energy_by_level(canonical))
-    with _replaced_atomically(target / names["summary"]) as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary = {
+            "config_file": config_path.name,
+            "config_hash": config_hash(cfg),
+            "solver": cfg.solver,
+            "basis": cfg.basis,
+            "t_end": cfg.t_end,
+            "dt": cfg.dt,
+            "n_leaves": scen.tree.n_leaves,
+            "n_slots": scen.system.n_slots,
+            "n_couplings": scen.system.n_couplings,
+            "solver_metadata": solver_metadata,
+            "outputs": names,
+        }
+        if disagreement is not None:
+            summary["cross_disagreement"] = disagreement
+        if checks:
+            summary["oracle_checks"] = checks
+        with open(summary_file, "w", encoding="utf-8", newline="") as fh:
+            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     failed = [name for name, res in checks.items() if not res["pass"]]
     status = "ok" if not failed else f"check failed ({', '.join(failed)})"
@@ -719,7 +750,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # the dense checks report before the solve, which may abort
         for name, rec in checks.items():
             print(_check_line(name, rec, scen.basis.n_slots))
-        _, _, spread = _solve_canonical(scen, leaf)
+        _, spread = _solve_routes(scen, leaf)
     checks["cross_solver"] = _verdict(spread["max"], CROSS_SOLVER_TOL,
                                       "max_disagreement")
     print(_check_line("cross_solver", checks["cross_solver"], scen.basis.n_slots))

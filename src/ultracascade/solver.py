@@ -18,11 +18,14 @@ sweeps: O(V) work per subtree-sum pass and O(L * depth) per root-path
 pass, V the vertex and L the leaf count.  The dense O(L^2) quadrature routines of
 ``spectral`` are test oracles only; no solver calls them.
 
-The rk and leaf routes share one RK4 march with a step-halving gauge:
-11 right-hand-side row evaluations per step.  On vectors of up to
-``STAGE_BLOCK`` / 3 values they go out as 4 stacked calls per step,
-each row bit-identical to a call of its own; longer vectors take 11
-one-row calls.
+The rk and leaf routes share one RK4 march with a step-pair error
+gauge: every pair of steps is retaken as one double step, so a step
+costs 5.5 right-hand-side row evaluations.  On vectors of up to
+``STAGE_BLOCK`` / 2 values they go out as 4 stacked calls per step, each
+row bit-identical to a call of its own; longer vectors take one call per
+row.  A run aborts when a pair's error estimate exceeds
+``STEP_ERROR_TOL`` times max(1, |y|), the mixed absolute and relative
+norm.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ __all__ = [
     "energy_by_level",
 ]
 
-# one-step integrators reject a step whose halved-step error estimate
-# exceeds this; it signals that dt is too coarse for the problem
+# one-step integrators reject a step pair whose error estimate exceeds
+# this times max(1, |y|), y the solution at the pair's end in the max
+# norm: absolute for small solutions, relative for large ones.  It
+# signals that dt is too coarse for the problem
 STEP_ERROR_TOL = 1e-3
 
 # vertices x time steps that one pass of solve_recurrent solves at once:
@@ -67,12 +72,14 @@ STEP_ERROR_TOL = 1e-3
 RECURRENT_BLOCK = 1 << 12
 
 # most complex values (rows x row length) in one stacked right-hand-side
-# call of the rk4 march: its three-row stacks are used while 3 n fits,
+# call of the rk4 march: its two-row stacks are used while 2 n fits,
 # and longer vectors go one row per call.  Stacking saves per-call
-# overhead and costs copies and broadcasts, and at p = 2 it broke even
-# near n = 1024: 0.80-0.87x the time per step at n = 511/512 and
-# 1.00-1.11x at n = 1023/1024, on both routes
-STAGE_BLOCK = 1 << 11
+# overhead and costs copies and broadcasts, and at p = 2 it breaks even
+# near n = 512.  Time per step stacked over one-row, medians of 21
+# alternating runs: rk 0.99-1.00x at n = 63, 255 and 511, 1.07x at
+# 1023 and 1.20x at 2047; leaf 0.87x at n = 64, 0.91x at 256, 0.99x at
+# 512, 1.08x at 1024 and 1.17x at 2048
+STAGE_BLOCK = 1 << 10
 
 # largest stored trajectory, in bytes of (steps + 1) x columns complex
 # numbers; checked before anything is allocated
@@ -349,77 +356,84 @@ def _rk4_rows(
 def _integrate(
     rhs: Callable, y0: np.ndarray, grid: np.ndarray, dt: float
 ) -> tuple[np.ndarray, float]:
-    """Classical one-step 4th-order march with a step-halving error gauge.
+    """Classical one-step 4th-order march with a step-pair error gauge.
 
-    Each step is also retaken as two half steps, which share the full
-    step's first stage: 11 right-hand-side row evaluations per step.  For
-    a fourth-order method ``|y_full - y_half| / 15`` is the Richardson
-    estimate of the error of the two-half-step solution, about 1/16 of the
-    error of the full step.  The full-step result is kept all the same, so
-    the reported figure understates the kept solution's local error by
-    about that factor.  The largest estimate is returned, and a step whose
-    estimate exceeds the tolerance aborts the run.
+    Steps are kept two at a time.  Each pair of steps of h is retaken as
+    one step of 2h from the same start, which shares the first step's
+    first stage: 11 right-hand-side row evaluations per pair, 5.5 per
+    step.  For a fourth-order method ``|y_2h - y_hh| / 15`` is the
+    Richardson estimate of the error of the kept pair itself (Hairer,
+    Norsett and Wanner, Solving ODEs I, II.4).  An odd step count takes
+    its last step alone, retaken as two half steps that share its first
+    stage: ``|y_full - y_half| / 15`` then estimates the error of the half
+    steps, not of the kept step.  The largest estimate is returned, and an
+    estimate above ``STEP_ERROR_TOL * max(1, |y|)``, y the kept value at
+    the end of the pair in the max norm, aborts the run: an absolute bound
+    for small solutions and a relative one for large ones.
 
-    ``rhs`` takes a vector or an (m, n) stack of rows.  Step k's second
-    half step needs only its first, and step k + 1 only step k's full
-    step.  So while three rows hold at most ``STAGE_BLOCK`` values, those
-    three chains advance as the rows of one stack: a call on [y_mid,
-    y_full] gives step k's middle stage and step k + 1's first stage, and
-    three calls of three rows finish step k's second half step and step
-    k + 1's half and full steps: 4 calls per step.  Longer vectors take
-    the 11 evaluations one row per call.  Every row repeats a one-row
-    step's operations in its order, so values, estimates and aborts are
-    the same bit for bit either way, and step k is checked before anything
-    of step k + 1 is kept.  Overflow is not warned about: a step that
-    leaves the finite range aborts.
+    ``rhs`` takes a vector or an (m, n) stack of rows.  The 2h step, or
+    the first half step, needs only the shared first stage, so while two
+    rows hold at most ``STAGE_BLOCK`` values its three stages go out as
+    the second row of the first step's three calls: 8 calls per pair, 4
+    per step.  Longer vectors take the 11 evaluations one row per call.
+    Every row repeats a one-row step's operations in its order, so
+    values, estimates and aborts are the same bit for bit either way, and
+    a pair is checked (non-finite values, gauge, magnitude) before
+    anything of the next pair is kept.  Overflow is not warned about: a
+    step that leaves the finite range aborts.
     """
     values = np.empty((len(grid), len(y0)), dtype=np.complex128)
     values[0] = y0
     max_est = 0.0
+    stacked = 2 * len(y0) <= STAGE_BLOCK
 
-    def keep(k: int, y_full: np.ndarray, y_half: np.ndarray) -> None:
+    def from_start(y: np.ndarray, h: float, h_other: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """RK4 steps of h and h_other from y, sharing their first stage."""
+        k1 = rhs(y)
+        if stacked:
+            rows = _rk4_rows(rhs, np.stack((y, y)), np.array([[h], [h_other]]),
+                             np.stack((k1, k1)))
+            return rows[0], rows[1]
+        return _rk4_rows(rhs, y, h, k1), _rk4_rows(rhs, y, h_other, k1)
+
+    def keep(k: int, kept: list[np.ndarray], other: np.ndarray) -> None:
+        """Check the steps k + 1, ... that ``kept`` holds against the
+        solution ``other`` of the same span, then store them."""
         nonlocal max_est
-        if not (np.all(np.isfinite(y_full)) and np.all(np.isfinite(y_half))):
+        size = [float(np.abs(y).max()) for y in kept]
+        est = float(np.abs(kept[-1] - other).max()) / 15.0
+        # nan and inf reach these maxima from any entry of kept or other
+        if not np.isfinite([*size, est]).all():
             raise SolverAbort(
                 f"solution became non-finite near t={grid[k]:g}; reduce dt"
             )
-        est = float(np.abs(y_full - y_half).max()) / 15.0
         max_est = max(max_est, est)
-        if est > STEP_ERROR_TOL:
+        bound = STEP_ERROR_TOL * max(1.0, size[-1])
+        if est > bound:
             raise SolverAbort(
-                f"step error estimate {est:.3e} exceeds {STEP_ERROR_TOL:g} "
+                f"step error estimate {est:.3e} exceeds {bound:.3g} "
                 f"at t={grid[k]:g}; dt={dt:g} is too large"
             )
-        if np.abs(y_full).max() > BLOWUP_LIMIT:
-            raise SolverAbort(
-                f"solution magnitude exceeded {BLOWUP_LIMIT:.0e} "
-                f"near t={grid[k + 1]:g}"
-            )
-        values[k + 1] = y_full
+        for i, s in enumerate(size, start=1):
+            if s > BLOWUP_LIMIT:
+                raise SolverAbort(
+                    f"solution magnitude exceeded {BLOWUP_LIMIT:.0e} "
+                    f"near t={grid[k + i]:g}"
+                )
+        values[k + 1:k + 1 + len(kept)] = kept
 
     steps = len(grid) - 1
+    y = y0
     with np.errstate(over="ignore", invalid="ignore"):
-        if 3 * len(y0) > STAGE_BLOCK:
-            y = y0
-            for k in range(steps):
-                k1 = rhs(y)
-                y_full = _rk4_rows(rhs, y, dt, k1)
-                y_mid = _rk4_rows(rhs, y, dt / 2, k1)
-                keep(k, y_full, _rk4_rows(rhs, y_mid, dt / 2, rhs(y_mid)))
-                y = y_full
-            return values, max_est
-        # step sizes of the rows [second half of step k, first half of
-        # step k + 1, full step k + 1]
-        h = np.array([[dt / 2], [dt / 2], [dt]])
-        y = y0[None]
-        rows = _rk4_rows(rhs, y[[0, 0]], h[1:], rhs(y)[[0, 0]])
-        for k in range(steps):
-            y_full = rows[-1]
-            # the last step has no step k + 1 to start
-            base, pick = ((rows[-2:], [0, 1, 1]) if k + 1 < steps
-                          else (rows[-2:-1], [0]))
-            rows = _rk4_rows(rhs, base[pick], h[:len(pick)], rhs(base)[pick])
-            keep(k, y_full, rows[0])
+        for k in range(0, steps - 1, 2):
+            y_h, y_2h = from_start(y, dt, 2 * dt)
+            y = _rk4_rows(rhs, y_h, dt, rhs(y_h))
+            keep(k, [y_h, y], y_2h)
+        if steps % 2:
+            y_full, y_mid = from_start(y, dt, dt / 2)
+            keep(steps - 1, [y_full],
+                 _rk4_rows(rhs, y_mid, dt / 2, rhs(y_mid)))
     return values, max_est
 
 

@@ -7,7 +7,10 @@ Runs ``run``, ``validate`` and ``oracle`` in-process on every scenario of
 copies beside this file.  The scenarios of ``RUN_AND_VALIDATE_ONLY`` skip
 ``oracle``: its dense eigen check would take minutes on their 512 and
 4096 leaves.  Regenerate only when a change is meant to move an output,
-and name what moved in the change's notes.
+and name what moved in the change's notes: the script prints each file
+whose sha256 changed, each ``validate`` or ``oracle`` output that
+changed, and for a moved summary every changed key path with its old and
+new value.
 
 The scenarios under ``crosscheck_seed7`` and ``ladder_seed7`` were
 written once by the benchmark's generator and are never regenerated
@@ -82,17 +85,56 @@ def summary_name(record: dict) -> str:
     return next(n for n in record["run"]["sha256"] if n.endswith("_summary.json"))
 
 
+def changed_keys(old, new, path: str = ""):
+    """(dotted key path, old value, new value) of every entry that differs
+    between two parsed JSON documents; a key on one side only reads
+    ``<absent>`` on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_keys(old.get(key, "<absent>"), new.get(key, "<absent>"),
+                                    f"{path}.{key}" if path else key)
+    elif old != new:
+        yield path, old, new
+
+
+def moved(old: dict, new: dict, old_summary: str | None, new_summary: str) -> list[str]:
+    """Report lines for one scenario: each output whose sha256 changed,
+    each changed ``validate`` or ``oracle`` record, and the changed keys of
+    a moved summary."""
+    lines = []
+    old_sha = old.get("run", {}).get("sha256", {})
+    for name, digest in new["run"]["sha256"].items():
+        if old_sha.get(name) == digest:
+            continue
+        lines.append(f"moved: {name}")
+        if name.endswith("_summary.json") and old_summary is not None:
+            lines += [f"    {path}: {json.dumps(a)} -> {json.dumps(b)}" for path, a, b
+                      in changed_keys(json.loads(old_summary), json.loads(new_summary))]
+    lines += [f"moved: {command} {name}" for command in ("validate", "oracle")
+              for name in ("exit", "stdout")
+              if old.get(command, {}).get(name) != new.get(command, {}).get(name)]
+    return lines
+
+
 def main() -> None:
     goldens: dict = {"host": host(), "scenarios": {}}
+    index = GOLDEN / "goldens.json"
+    before = json.loads(index.read_text(encoding="utf-8")) if index.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SCENARIOS:
             out_dir = Path(tmp) / scenario.stem
             record = capture(scenario, out_dir)
             goldens["scenarios"][scenario.stem] = record
             name = summary_name(record)
-            shutil.copyfile(out_dir / name, GOLDEN / name)
+            kept = GOLDEN / name
+            old_summary = kept.read_text(encoding="utf-8") if kept.exists() else None
+            new_summary = (out_dir / name).read_text(encoding="utf-8")
+            for line in moved(before.get("scenarios", {}).get(scenario.stem, {}),
+                              record, old_summary, new_summary):
+                print(line)
+            shutil.copyfile(out_dir / name, kept)
     text = json.dumps(goldens, indent=1, sort_keys=True) + "\n"
-    (GOLDEN / "goldens.json").write_text(text, encoding="utf-8")
+    index.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

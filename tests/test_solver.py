@@ -250,6 +250,31 @@ def test_nested_pair_against_closed_form():
     assert np.abs(rk.column(mid, 0) - inner).max() <= 1e-6
 
 
+def test_step_pair_gauge_estimates_the_kept_pairs_error():
+    """One step pair from exact data on the nested-pair closed form: the
+    gauge's estimate over the kept pair's true error tends to 1 as dt
+    halves, as a Richardson estimate of fourth order does."""
+    tree, basis, interaction, dissipation = depth2_example()
+    system = uc.assemble(tree, basis, interaction, dissipation)
+    mid = tree.vertex("0")
+    v0 = uc.WaveletField(basis, {(tree.root, 0): 0.6, (mid, 0): 0.5})
+    weight = uc.ancestor_value(basis, tree.root, 0, mid) * uc.interaction_coefficient(
+        interaction, tree.root, mid
+    )
+    ratios = []
+    for dt in (0.2, 0.1, 0.05, 0.025):
+        rk = uc.solve_rk(system, v0, 2 * dt, dt)
+        outer, inner = nested_pair_closed_form(
+            system.eta[tree.root], system.eta[mid], weight, 0.6, 0.5, rk.grid
+        )
+        error = max(abs(rk.column(tree.root, 0)[-1] - outer[-1]),
+                    abs(rk.column(mid, 0)[-1] - inner[-1]))
+        ratios.append(rk.metadata["max_step_error"] / error)
+    assert all(0.5 <= r <= 2.0 for r in ratios), ratios
+    gaps = [abs(r - 1.0) for r in ratios]
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 0.05, ratios
+
+
 def test_solvers_are_bitwise_deterministic():
     tree, basis, interaction, dissipation = depth2_example()
     system = uc.assemble(tree, basis, interaction, dissipation)

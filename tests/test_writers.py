@@ -1,6 +1,7 @@
 """The CSV writers against their per-number reference, and atomic output."""
 
 import errno
+import json
 import os
 import signal
 import subprocess
@@ -280,13 +281,13 @@ def test_formatter_matches_format_on_structured_doubles():
     for block in np.array_split(x, 30):
         assert exact_text(block) == reference_text(block)
     code, _ = cli._exact_digits(x)
-    assert set(code.tolist()) == set(range(111))  # every layout and the fallback
+    # every layout, the fallback and both zeros
+    assert set(code.tolist()) == set(range(113))
 
 
 FALLBACK = {
     "exact tie": [1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, -(2 ** 16 + 2.0 ** -13)],
     "|E| > 99": [9e-100, 5e-100, 1.01e100, -2e100, 1e300],
-    "zero": [0.0, -0.0],
     "subnormal": [5e-324, -2.2250738585072009e-308],
     "inf and nan": [np.inf, -np.inf, np.nan],
     "below 10**16 units": [1e23, -1e23],  # log10 rounds 9.99...e22 up to 23
@@ -298,6 +299,20 @@ def test_fallback_takes_the_numbers_whose_digits_are_uncertain(why):
     code, args = cli._exact_digits(np.array(FALLBACK[why]))
     assert (code == 110).all() and len(args) == 0
     assert exact_text(FALLBACK[why]) == reference_text(FALLBACK[why])
+
+
+def test_zeros_take_their_own_layouts():
+    """+0 and -0 print as ``0`` and ``-0`` from a layout of their own,
+    with no integer and no per-number fallback, beside other numbers."""
+    x = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 0.0, -2.5e-7, -0.0])
+    code, args = cli._exact_digits(x)
+    assert code[x == 0].tolist() == [111, 112, 112, 111, 111, 112]
+    # 1.5 takes two integers and -2.5e-7 three; a zero takes none
+    assert (code != 110).all() and len(args) == 5
+    assert exact_text(x) == reference_text(x)
+    block = np.where(np.random.default_rng(3).random(500) < 0.5, 0.0, -0.0)
+    assert (cli._exact_digits(block)[0] >= 111).all()
+    assert exact_text(block) == reference_text(block)
 
 
 def test_exponent_window_holds_99_and_not_100():
@@ -404,7 +419,8 @@ def test_failed_split_write_keeps_old_output_and_leaves_no_process(
             return _FailingFile(fh, 2, exc)
         return fh
 
-    force_split(monkeypatch, 3)
+    # four CPUs: the CSV, staged while the leaf route runs, gets three
+    force_split(monkeypatch, 4)
     started = count_helpers(monkeypatch)
     monkeypatch.setattr(cli, "CSV_BLOCK_NUMBERS", 64)  # several blocks a part
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
@@ -489,11 +505,12 @@ def test_jobs_workers_fork_no_helper_and_match_a_sequential_run(
     monkeypatch.setattr(cli, "_start_helper", guarded)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert cli.main(["run", str(scenario_dir), "--out-dir", str(serial)]) == 0
-    # a CSV helper per scenario and nested_pair's leaf-route helper
-    assert len(started) == 3
+    # nested_pair's leaf-route helper, beside which its CSV is written on
+    # the one CPU left, and single_wavelet's CSV helper
+    assert len(started) == 2
     assert cli.main(["run", str(scenario_dir), "--out-dir", str(parallel),
                      "--jobs", "2"]) == 0
-    assert len(started) == 5  # one worker per file
+    assert len(started) == 4  # one worker per file
     assert not cli._in_helper
     names = sorted(p.name for p in serial.iterdir())
     assert names == sorted(p.name for p in parallel.iterdir()) and len(names) == 6
@@ -767,6 +784,9 @@ def test_forked_leaf_route_join_holds_the_trajectory_once(monkeypatch):
 def test_leaf_route_helper_is_reaped_before_the_csv_helpers_start(
     tmp_path, scenario_dir, monkeypatch
 ):
+    """At two usable CPUs no CSV helper runs beside the leaf-route helper:
+    a recurrent canonical CSV is written beside it in this process, a
+    leaf one after the join, by this process and a CSV helper."""
     force_split(monkeypatch, 2)
     child_at_start, start = [], cli._start_helper
 
@@ -775,10 +795,58 @@ def test_leaf_route_helper_is_reaped_before_the_csv_helpers_start(
         return start(task)
 
     monkeypatch.setattr(cli, "_start_helper", checked)
-    assert cli.main(["run", str(scenario_dir / "nested_pair.json"),
-                     "--out-dir", str(tmp_path)]) == 0
-    # the leaf-route helper, then one CSV helper: each with no other child
-    assert child_at_start == [False, False]
+    # nested_pair with the leaf route canonical, still checked against the
+    # other two routes
+    raw = json.loads((scenario_dir / "nested_pair.json").read_text(encoding="utf-8"))
+    leaf = tmp_path / "nested_leaf.json"
+    leaf.write_text(json.dumps({**raw, "solver": "leaf",
+                                "oracles": {"check_cross": True}}), encoding="utf-8")
+    for config, helpers in [(scenario_dir / "nested_pair.json", 1), (leaf, 2)]:
+        child_at_start.clear()
+        assert cli.main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        # the leaf-route helper, then for the leaf route one CSV helper:
+        # each with no other child
+        assert child_at_start == [False] * helpers
+        assert no_child_left()
+
+
+@pytest.mark.parametrize("leaf", ["forked", "inline"])
+@pytest.mark.parametrize("kind", ["energy", "summary"])
+def test_failed_write_after_the_trajectory_is_staged_keeps_the_old_set(
+    tmp_path, scenario_dir, monkeypatch, capsys, kind, leaf
+):
+    """ENOSPC on the energy or summary write, once the new trajectory CSV
+    is written in full: all three old outputs keep their bytes, no temp
+    file is left and every helper is reaped."""
+    config = scenario_dir / "nested_pair.json"
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path)]) == 0
+    old = {p.name: p.read_bytes() + b"old\n" for p in tmp_path.iterdir()}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    capsys.readouterr()
+
+    staged, real_open = [], open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        if "nested_pair_trajectory.csv" in str(path):
+            staged.append(path)
+        elif f"nested_pair_{kind}." in str(path):
+            assert staged  # the trajectory CSV comes first
+            return _FailingFile(fh, 1)
+        return fh
+
+    use_cpus(monkeypatch, 2 if leaf == "forked" else 1)
+    started = count_helpers(monkeypatch)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert cli.main(["run", str(config), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "No space left on device" in err[0]
+    assert len(started) == (1 if leaf == "forked" else 0)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+    assert leftovers(tmp_path) == []
     assert no_child_left()
 
 
