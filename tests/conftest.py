@@ -111,6 +111,34 @@ def dense_coupling_matrix(system: uc.CascadeSystem) -> np.ndarray:
     return W
 
 
+def one_shot_interaction_check(kernel: uc.Kernel,
+                               basis: uc.WaveletBasis) -> tuple[float, int]:
+    """``interaction_check`` with every outer slot in one piece: the whole
+    (N, L, L) contraction and (N, L, N) direct and predicted arrays.  The
+    blocked check's reference, which it must match bit for bit."""
+    tree = basis.tree
+    L = tree.n_leaves
+    nu = tree.measure[tree.leaves]
+    Psi = np.array([basis.leaf_values(v, j) for v, j in basis.slots])
+    n_slots = basis.n_slots
+    supv = uc.oracles.vertex_leaf_sup_table(tree)
+    inner = (Psi * nu) @ kernel.values[supv].T
+    S = inner[:, supv[tree.leaves]]
+    row = S @ nu
+    direct = (S.reshape(n_slots * L, L) @ (Psi * nu).T).reshape(
+        n_slots, L, n_slots
+    )
+    direct -= row[:, :, None] * Psi.T[None, :, :]
+    paths = tree.root_path_table()
+    v, j = np.nonzero(np.arange(paths.shape[1]) < tree.depth[:, None])
+    coeff = np.zeros((tree.n_vertices,) * 2, dtype=np.complex128)
+    coeff[tree.parent[paths[v, j]], v] = uc.interaction_table(kernel)[v, j]
+    coeff = coeff[np.ix_(basis.slot_vertex, basis.slot_vertex)]
+    predicted = Psi[:, :, None] * Psi.T[None, :, :] * coeff[:, None, :]
+    worst = float(np.abs(direct - predicted).max())
+    return worst, n_slots * n_slots
+
+
 def dense_basis_matrix(basis: uc.WaveletBasis) -> np.ndarray:
     """Dense (slot, leaf) matrix whose rows are the wavelets' leaf values,
     written straight from ``coeffs`` and the leaf slices of the children:

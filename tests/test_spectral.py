@@ -1,12 +1,15 @@
 """Eigenvalues and interaction coefficients against direct quadrature."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ultracascade as uc
 from ultracascade import oracles
 
-from conftest import random_mean_zero_field
+from conftest import one_shot_interaction_check, random_mean_zero_field
 
 
 def uniform_binary_depth2():
@@ -372,6 +375,64 @@ def test_interaction_check_agrees_with_per_pair_loop():
     assert batched <= uc.INTERACTION_TOL
     assert worst <= uc.INTERACTION_TOL
     assert abs(batched - worst) <= 1e-12
+
+
+def test_interaction_check_matches_the_one_shot_form_bit_for_bit():
+    """The blocked check returns the identical (worst, pairs) as the whole
+    contraction: on 40 random trees up to the leaf cap, on slot counts
+    below, at and above one block and off its multiples (a lone last slot
+    included), and on both crosscheck trees with their scenario kernel and
+    three random ones."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(40):
+        tree = uc.random_tree(rng, max_leaves=100)
+        cases.append((uc.build_basis(tree), [uc.random_kernel(tree, rng)]))
+    slot_counts = [3, 7, 8, 9, 10, 15, 16, 17, 25, 99]
+    for n_slots in slot_counts:
+        tree = uc.build_tree({"p": n_slots + 1, "depth": 1})
+        cases.append((uc.build_basis(tree),
+                      [uc.random_kernel(tree, rng) for _ in range(3)]))
+    crosscheck = Path(__file__).resolve().parent / "golden" / "crosscheck_seed7"
+    for name in ("p2d6_all", "p4d3_all"):
+        scen = uc.build_scenario(uc.load_config(crosscheck / f"{name}.json"))
+        assert scen.basis.n_slots == 63
+        cases.append((scen.basis, [scen.interaction] + [
+            uc.random_kernel(scen.tree, rng) for _ in range(3)]))
+    seen = set()
+    for basis, kernels in cases:
+        seen.add(basis.n_slots)
+        for kernel in kernels:
+            blocked = uc.interaction_check(kernel, basis)
+            assert blocked == one_shot_interaction_check(kernel, basis)
+            assert blocked[0] <= uc.INTERACTION_TOL
+    assert set(slot_counts) <= seen and max(seen) == 99
+
+
+def test_interaction_check_at_the_leaf_cap_stays_under_8_mib():
+    """p=10 depth 2: 100 leaves, 99 slots.  The whole (N, L, L) contraction
+    and (N, L, N) results traced 68 MiB here; the blocks need a few."""
+    tree = uc.build_tree({"p": 10, "depth": 2})
+    assert tree.n_leaves == oracles.DEFAULT_LEAF_CAP
+    basis = uc.build_basis(tree)
+    kernel = uc.random_kernel(tree, np.random.default_rng(181))
+    tracemalloc.start()
+    try:
+        worst, pairs = uc.interaction_check(kernel, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 99 * 99 and worst <= uc.INTERACTION_TOL
+    assert peak < 8 * 2 ** 20
+
+
+def test_dense_checks_pass_a_basis_with_no_slot():
+    tree = uc.build_tree({"root": {"measure": 1.0}})
+    basis = uc.build_basis(tree)
+    assert basis.n_slots == 0
+    kernel = uc.random_kernel(tree, np.random.default_rng(191))
+    assert uc.eigen_check(kernel, basis) == 0.0
+    assert uc.interaction_check(kernel, basis) == (0.0, 0)
 
 
 def test_coefficient_independent_of_wavelet_indices():
