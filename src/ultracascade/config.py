@@ -240,6 +240,8 @@ def load_config(path: Path | str) -> ScenarioConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: nested too deeply to parse") from exc
     return parse_config(raw)
 
 

@@ -20,10 +20,10 @@ pass, V the vertex and L the leaf count.  The dense O(L^2) quadrature routines o
 
 The rk and leaf routes share one RK4 march with a step-pair error
 gauge: every pair of steps is retaken as one double step, so a step
-costs 5.5 right-hand-side row evaluations.  On vectors of up to
-``STAGE_BLOCK`` / 2 values they go out as 4 stacked calls per step, each
-row bit-identical to a call of its own; longer vectors take one call per
-row.  A run aborts when a pair's error estimate exceeds
+costs 5.5 right-hand-side row evaluations.  rk makes them one row per
+call.  The leaf route, on up to ``STAGE_BLOCK`` / 2 leaves, stacks them
+into 4 calls per step, each row bit-identical to a call of its own.
+A run aborts when a pair's error estimate exceeds
 ``STEP_ERROR_TOL`` times max(1, |y|), the mixed absolute and relative
 norm.
 """
@@ -71,14 +71,13 @@ STEP_ERROR_TOL = 1e-3
 # bounds its temporaries to a few times this many complex numbers
 RECURRENT_BLOCK = 1 << 12
 
-# most complex values (rows x row length) in one stacked right-hand-side
-# call of the rk4 march: its two-row stacks are used while 2 n fits,
-# and longer vectors go one row per call.  Stacking saves per-call
-# overhead and costs copies and broadcasts, and at p = 2 it breaks even
-# near n = 512.  Time per step stacked over one-row, medians of 21
-# alternating runs: rk 0.99-1.00x at n = 63, 255 and 511, 1.07x at
-# 1023 and 1.20x at 2047; leaf 0.87x at n = 64, 0.91x at 256, 0.99x at
-# 512, 1.08x at 1024 and 1.17x at 2048
+# most complex values (rows x leaves) in one stacked leaf sweep of the
+# rk4 march: the leaf route stacks two rows while 2 n fits, and more
+# leaves go one row per call.  Stacking saves per-call overhead and
+# costs copies and broadcasts, and at p = 2 it breaks even near n = 512.
+# Time per step stacked over one-row, medians of 21 alternating runs:
+# 0.87x at n = 64, 0.91x at 256, 0.99x at 512, 1.08x at 1024 and 1.17x
+# at 2048
 STAGE_BLOCK = 1 << 10
 
 # largest stored trajectory, in bytes of (steps + 1) x columns complex
@@ -354,7 +353,7 @@ def _rk4_rows(
 
 
 def _integrate(
-    rhs: Callable, y0: np.ndarray, grid: np.ndarray, dt: float
+    rhs: Callable, y0: np.ndarray, grid: np.ndarray, dt: float, stacked: bool
 ) -> tuple[np.ndarray, float]:
     """Classical one-step 4th-order march with a step-pair error gauge.
 
@@ -371,21 +370,20 @@ def _integrate(
     the end of the pair in the max norm, aborts the run: an absolute bound
     for small solutions and a relative one for large ones.
 
-    ``rhs`` takes a vector or an (m, n) stack of rows.  The 2h step, or
-    the first half step, needs only the shared first stage, so while two
-    rows hold at most ``STAGE_BLOCK`` values its three stages go out as
-    the second row of the first step's three calls: 8 calls per pair, 4
-    per step.  Longer vectors take the 11 evaluations one row per call.
-    Every row repeats a one-row step's operations in its order, so
-    values, estimates and aborts are the same bit for bit either way, and
-    a pair is checked (non-finite values, gauge, magnitude) before
+    ``rhs`` takes a vector.  ``stacked`` says that it also takes (m, n)
+    stacks of rows.  The 2h step, or the first half step, needs only the
+    shared first stage, so a stacked march sends its three stages as the
+    second row of the first step's three calls: 8 calls per pair, 4 per
+    step.  Otherwise the 11 evaluations go one row per call.  Every row
+    repeats a one-row step's operations in its order, so values,
+    estimates and aborts are the same bit for bit either way, and a pair
+    is checked (non-finite values, gauge, magnitude) before
     anything of the next pair is kept.  Overflow is not warned about: a
     step that leaves the finite range aborts.
     """
     values = np.empty((len(grid), len(y0)), dtype=np.complex128)
     values[0] = y0
     max_est = 0.0
-    stacked = 2 * len(y0) <= STAGE_BLOCK
 
     def from_start(y: np.ndarray, h: float, h_other: float
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -437,40 +435,17 @@ def _integrate(
     return values, max_est
 
 
-def _side_by_side(index: np.ndarray, m: int, stride: int) -> np.ndarray:
-    """m copies of an index array along its last axis, copy i shifted by
-    i * stride: the index layout of m disjoint copies of a structure."""
-    return np.concatenate([index + i * stride for i in range(m)], axis=-1)
-
-
 def _coefficient_rhs(system: CascadeSystem) -> Callable:
-    """dv/dt on slot vectors or (m, N) stacks of them: one (K, m * N)
-    gather-sum per call, O(m * N * K).  A stack is read as m disjoint
-    copies of the slot layout side by side, so every row gets the sums,
-    in the order, of a call on that row alone."""
+    """dv/dt on one slot vector: a (K, N) gather-sum, O(N * K)."""
     vertex = system.basis.slot_vertex
-    n = len(vertex)
     eta = system.eta[vertex]
     anc_slot = np.ascontiguousarray(system.anc_slot[:, vertex])
     weight = np.ascontiguousarray(system.weight[:, vertex])
-    # rows -> (anc_slot, weight, eta) for that many copies side by side
-    layouts = {1: (anc_slot, weight, eta)}
-
-    def layout(m: int) -> tuple:
-        if m not in layouts:
-            layouts[m] = (_side_by_side(anc_slot, m, n),
-                          np.tile(weight, m), np.tile(eta, m))
-        return layouts[m]
-
-    def gather_sum(y, anc, w, e):
-        drive = y.take(anc)
-        drive *= w
-        return -y * (e + drive.sum(axis=0))
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        if y.ndim == 1:
-            return gather_sum(y, anc_slot, weight, eta)
-        return gather_sum(y.ravel(), *layout(len(y))).reshape(y.shape)
+        drive = y.take(anc_slot)
+        drive *= weight
+        return -y * (eta + drive.sum(axis=0))
 
     return rhs
 
@@ -488,11 +463,18 @@ def solve_rk(
     """
     grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
-    values, max_est = _integrate(_coefficient_rhs(system), v0vec, grid, float(dt))
+    values, max_est = _integrate(_coefficient_rhs(system), v0vec, grid,
+                                 float(dt), stacked=False)
     return coefficient_trajectory(
         system.basis, grid, values,
         _metadata("rk", t_end, dt, max_step_error=max_est),
     )
+
+
+def _side_by_side(index: np.ndarray, m: int, stride: int) -> np.ndarray:
+    """m copies of an index array along its last axis, copy i shifted by
+    i * stride: the index layout of m disjoint copies of a structure."""
+    return np.concatenate([index + i * stride for i in range(m)], axis=-1)
 
 
 def _leaf_sweep(
@@ -622,7 +604,9 @@ def solve_leaf(
     coefficient system.  The initial field must be mean-zero; the
     dynamics are only defined on that subspace, and the mean is conserved
     along solutions.  Each right-hand side is one set of tree sweeps (see
-    ``leaf_rhs``), O(V + L * depth), so no leaf count is refused.
+    ``leaf_rhs``), O(V + L * depth), so no leaf count is refused.  While
+    two rows of leaf values fit ``STAGE_BLOCK``, the march stacks a step
+    pair's independent rows into shared sweeps.
     """
     check_same_tree(tree, f0, message="initial field lives on a different tree")
     if not f0.is_mean_zero():
@@ -633,7 +617,7 @@ def solve_leaf(
     grid = time_grid(t_end, dt, tree.n_leaves)
     values, max_est = _integrate(
         _leaf_sweep(tree, interaction, dissipation), f0.values.copy(),
-        grid, float(dt),
+        grid, float(dt), stacked=2 * tree.n_leaves <= STAGE_BLOCK,
     )
     return LeafTrajectory(
         grid, tree, values, _metadata("leaf", t_end, dt, max_step_error=max_est)

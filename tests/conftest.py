@@ -99,6 +99,39 @@ def nested_pair_closed_form(eta_outer, eta_inner, weight, v_outer0, v_inner0, gr
     return outer, inner
 
 
+def chain_closed_form(eta, weights, v0, grid, terms=80):
+    """Exact three-slot solution: a free outer mode a driving b, both
+    driving an innermost mode c.
+
+    ``eta`` holds the decay rates (eta_a, eta_b, eta_c), ``weights`` the
+    couplings (w_ab, w_ac, w_bc) and ``v0`` the initial values (a0, b0,
+    c0); eta_a must not be 0.  With I_x the time integral of v_x,
+
+        v_b = b0 exp(-eta_b t - w_ab I_a),
+        v_c = c0 exp(-eta_c t - w_ac I_a - w_bc I_b).
+
+    Expanding exp(beta e^{-eta_a s}), beta = w_ab a0 / eta_a, gives I_b
+    as the series b0 e^{-beta} sum_n beta^n / n! (1 - e^{-(eta_b + n
+    eta_a) t}) / (eta_b + n eta_a), entire in beta, summed to ``terms``
+    terms.
+    """
+    eta_a, eta_b, eta_c = eta
+    w_ab, w_ac, w_bc = weights
+    a0, b0, c0 = v0
+    t = np.asarray(grid, dtype=np.float64)
+    i_a = a0 * (1.0 - np.exp(-eta_a * t)) / eta_a
+    beta = w_ab * a0 / eta_a
+    n = np.arange(terms)
+    # beta^n / n!
+    series = np.cumprod(np.concatenate(([1.0 + 0j], beta / n[1:])))
+    rate = eta_b + n * eta_a
+    i_b = b0 * np.exp(-beta) * (
+        ((1.0 - np.exp(-np.outer(t, rate))) / rate) @ series)
+    return (a0 * np.exp(-eta_a * t),
+            b0 * np.exp(-eta_b * t - w_ab * i_a),
+            c0 * np.exp(-eta_c * t - w_ac * i_a - w_bc * i_b))
+
+
 def dense_coupling_matrix(system: uc.CascadeSystem) -> np.ndarray:
     """Dense (slot, slot) weight matrix W built from the padded arrays, so
     that the coefficient right-hand side is -v * (eta + W @ v).  Padding

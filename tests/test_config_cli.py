@@ -449,6 +449,52 @@ def test_cli_jobs_print_both_streams_in_file_order_on_a_pipe(tmp_path, scenario_
     assert no_child_left()
 
 
+def deep_scenario(path: Path, depth: int = 495) -> Path:
+    """Write a scenario whose explicit tree nests ``depth`` levels deep,
+    each level ``{"children": [<node>, {"measure": 1.0}]}``: past what the
+    JSON decoder reaches under the default recursion limit."""
+    tree = ('{"children": [' * depth + '{"measure": 1.0}'
+            + ', {"measure": 1.0}]}' * depth)
+    text = json.dumps(dict(minimal_config(), tree="TREE"))
+    path.write_text(text.replace('"TREE"', tree), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("validate", "invalid"), ("run", "error"), ("oracle", "error")])
+def test_cli_refuses_a_too_deeply_nested_scenario_in_one_line(
+    command, prefix, tmp_path, capsys
+):
+    path = deep_scenario(tmp_path / "deep.json")
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(path), *extra]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    line = f"{prefix}: {path}: nested too deeply to parse\n"
+    # validate reports on stdout, run and oracle on stderr
+    assert (captured.out, captured.err) == (
+        (line, "") if command == "validate" else ("", line))
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_jobs_run_the_other_files_beside_a_too_deeply_nested_one(
+    tmp_path, scenario_dir, capsys
+):
+    work, out = tmp_path / "scenarios", tmp_path / "out"
+    work.mkdir()
+    for name in ("nested_pair.json", "single_wavelet.json"):
+        (work / name).write_bytes((scenario_dir / name).read_bytes())
+    deep = deep_scenario(work / "deep.json")
+    rc = cli.main(["run", str(work), "--out-dir", str(out), "--jobs", "2"])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: deep.json: {deep}: nested too deeply to parse\n")
+    assert [line.split(": ")[:2] for line in captured.out.splitlines()] == [
+        ["ok", "nested_pair.json"], ["ok", "single_wavelet.json"]]
+    assert len(list(out.iterdir())) == 6
+    assert no_child_left()
+
+
 def test_cli_validate_ok(scenario_dir, capsys):
     rc = cli.main(["validate", str(scenario_dir / "nested_pair.json")])
     assert rc == 0

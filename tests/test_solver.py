@@ -7,9 +7,15 @@ import pytest
 
 import ultracascade as uc
 from ultracascade import oracles
-from ultracascade.solver import STEP_ERROR_TOL, _coefficient_rhs, complex_products
+from ultracascade.solver import (
+    STEP_ERROR_TOL,
+    _coefficient_rhs,
+    complex_products,
+    leaf_route,
+)
 
 from conftest import (
+    chain_closed_form,
     dense_coupling_matrix,
     depth2_example,
     dissipative_kernel,
@@ -248,6 +254,62 @@ def test_nested_pair_against_closed_form():
     assert np.abs(rec.column(tree.root, 0) - outer).max() <= 1e-12
     assert np.abs(rec.column(mid, 0) - inner).max() <= 1e-5
     assert np.abs(rk.column(mid, 0) - inner).max() <= 1e-6
+
+
+# (tree spec, basis scheme, the chain's (vertex label, wavelet index)
+# from outer to inner); the last tree has uneven branching and measures
+CHAINS = [
+    ({"p": 2, "depth": 3}, "gram-schmidt", [("", 0), ("0", 0), ("0.1", 0)]),
+    ({"p": 3, "depth": 3}, "roots-of-unity", [("", 1), ("2", 0), ("2.0", 1)]),
+    ({"children": [
+        {"children": [
+            {"children": [{"measure": 0.5}, {"measure": 1.0},
+                          {"measure": 0.25}]},
+            {"measure": 1.0}]},
+        {"measure": 2.0}, {"measure": 0.5}]},
+     "gram-schmidt", [("", 1), ("0", 0), ("0.0", 1)]),
+]
+
+
+@pytest.mark.parametrize("spec, scheme, chain", CHAINS,
+                         ids=["p2", "p3-roots", "uneven"])
+def test_routes_converge_to_the_three_level_chain(spec, scheme, chain):
+    """Three nested live wavelets a > b > c, nothing else live: every
+    route tends to the exact series solution, the recurrent route at
+    second order in dt and the rk and leaf routes at fourth."""
+    tree = uc.build_tree(spec)
+    basis = uc.build_basis(tree, scheme)
+    rng = np.random.default_rng(331)
+    interaction = uc.random_kernel(tree, rng)
+    dissipation = dissipative_kernel(tree, rng)
+    system = uc.assemble(tree, basis, interaction, dissipation)
+    vertices = [tree.vertex(label) for label, _ in chain]
+    slots = [(v, j) for v, (_, j) in zip(vertices, chain)]
+    eta = [uc.eigenvalue(dissipation, v) for v in vertices]
+    assert len(set(eta)) == 3 and all(e.real > 0 and e.imag != 0 for e in eta)
+
+    def weight(outer, inner):
+        return uc.ancestor_value(basis, *slots[outer], vertices[inner]) * (
+            uc.interaction_coefficient(interaction, vertices[outer],
+                                       vertices[inner]))
+
+    weights = (weight(0, 1), weight(0, 2), weight(1, 2))
+    assert all(w.imag != 0 for w in weights)
+    start = (0.8 - 0.3j, 0.6 + 0.4j, -0.5 + 0.5j)
+    v0 = uc.WaveletField(basis, dict(zip(slots, start)))
+
+    def deviation(traj):
+        exact = chain_closed_form(eta, weights, start, traj.grid)
+        return max(float(np.abs(traj.column(*slot) - v).max())
+                   for slot, v in zip(slots, exact))
+
+    routes = {"recurrent": (uc.solve_recurrent, 2), "rk": (uc.solve_rk, 4),
+              "leaf": (leaf_route, 4)}
+    for name, (solve, order) in routes.items():
+        devs = [deviation(solve(system, v0, 1.0, dt))
+                for dt in (0.04, 0.02, 0.01)]
+        slopes = np.log2(np.divide(devs[:-1], devs[1:]))
+        assert np.all(np.abs(slopes - order) < 0.05 * order), (name, devs)
 
 
 def test_step_pair_gauge_estimates_the_kept_pairs_error():

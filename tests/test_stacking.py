@@ -1,10 +1,12 @@
-"""Stacked right-hand sides and the stacked rk4 march.
+"""Stacked leaf sweeps and the call patterns of the rk4 march.
 
-Both right-hand sides take (m, n) stacks of rows as m disjoint copies of
-their layout side by side, and ``_integrate`` advances a step pair's
-independent stage chains as the rows of one stack.  Every row must get
-the values of a one-row evaluation bit for bit, so every trajectory,
-step-error estimate and abort stays what a one-row march gives.
+The leaf sweep takes (m, L) stacks of fields as m disjoint copies of the
+tree side by side, and ``solve_leaf`` advances a step pair's independent
+stage chains as the rows of one stack while two rows fit
+``STAGE_BLOCK``.  Every row must get the values of a one-row sweep bit
+for bit, so every trajectory, step-error estimate and abort stays what a
+one-row march gives.  The coefficient right-hand side takes one slot
+vector, and ``solve_rk`` makes one call per row at every size.
 """
 
 import json
@@ -87,23 +89,20 @@ def test_leaf_sweep_rows_match_one_row_sweeps(m):
             assert np.all(got[-1] == 0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_coefficient_rhs_rows_match_one_row_calls(m):
-    for rng, tree in _random_trees(310 + m, 12):
+def test_coefficient_rhs_matches_one_row_gather_sum():
+    for rng, tree in _random_trees(311, 12):
         basis = uc.build_basis(tree)
         system = uc.assemble(tree, basis, uc.random_kernel(tree, rng),
                              dissipative_kernel(tree, rng))
-        rhs = _coefficient_rhs(system)
-        rows = _random_rows(rng, m, system.n_slots)
-        got = rhs(rows)
-        assert got.shape == rows.shape
-        for row, out in zip(rows, got):
-            assert np.array_equal(out, _one_row_gather_sum(system, row))
-            assert np.array_equal(out, rhs(row))
+        (row,) = _random_rows(rng, 1, system.n_slots)
+        assert np.array_equal(_coefficient_rhs(system)(row),
+                              _one_row_gather_sum(system, row))
 
 
 def _route(name, seed):
-    """(rhs, y0) of the rk or the leaf route on a seeded random problem."""
+    """The rk or the leaf route on a seeded random problem: the name of
+    its right-hand-side factory in ``solver``, its initial row, and its
+    run ``solve(t_end, dt)``."""
     rng = np.random.default_rng(seed)
     tree = uc.random_tree(rng, max_leaves=60, max_branch=13, max_depth=4)
     basis = uc.build_basis(tree)
@@ -112,42 +111,64 @@ def _route(name, seed):
     v0 = random_initial(basis, rng, density=1.0)
     if name == "rk":
         system = uc.assemble(tree, basis, interaction, dissipation)
-        return _coefficient_rhs(system), v0.dense()
-    return _leaf_sweep(tree, interaction, dissipation), uc.synthesize(v0).values
+        return ("_coefficient_rhs", v0.dense(),
+                lambda t_end, dt: uc.solve_rk(system, v0, t_end, dt))
+    f0 = uc.synthesize(v0)
+    return ("_leaf_sweep", f0.values,
+            lambda t_end, dt: uc.solve_leaf(tree, interaction, dissipation,
+                                            f0, t_end, dt))
+
+
+def _row_by_row(rhs):
+    """``rhs`` on a row, or on each row of a stack in turn."""
+    return lambda y: rhs(y) if y.ndim == 1 else np.stack([rhs(r) for r in y])
 
 
 @pytest.mark.parametrize("route", ["rk", "leaf"])
 def test_integrate_stacks_a_steps_rows_below_stage_block(route, monkeypatch):
-    rhs, y0 = _route(route, 331)
+    """Only the leaf route stacks a step pair's rows, while two of them
+    fit ``STAGE_BLOCK``; rk makes one row per call at every size.  Both
+    get the values and estimates of a stacked march bit for bit."""
+    factory, y0, solve = _route(route, 331)
     n, dt = len(y0), 1e-2
+    make_rhs, shapes, made = getattr(solver, factory), [], []
+
+    def counting(*args):
+        rhs = make_rhs(*args)
+        made.append(rhs)
+
+        def counted(y):
+            shapes.append(y.shape)
+            return rhs(y)
+
+        return counted
+
+    monkeypatch.setattr(solver, factory, counting)
     # an even step count is pairs only; an odd one ends in one step retaken
     # as two half steps
-    for steps in (6, 7):
+    for steps in (1, 6, 7):
+        pairs = -(-steps // 2)
         grid = np.arange(steps + 1) * dt
-        runs = {}
         # two rows of n values fit the block exactly, and then do not
         for block in (2 * n, 2 * n - 1):
-            shapes = []
-
-            def counted(y):
-                shapes.append(y.shape)
-                return rhs(y)
-
             monkeypatch.setattr(solver, "STAGE_BLOCK", block)
-            runs[block] = _integrate(counted, y0, grid, dt), shapes
-        (stacked, est), shapes = runs[2 * n]
-        (one_row, est_one_row), one_row_shapes = runs[2 * n - 1]
-        assert np.array_equal(stacked, one_row)
-        assert est == est_one_row > 0
-        # 8 calls and 11 rows a pair: the shared first stage, three calls
-        # of the first step's stages beside the 2h step's, then the second
-        # step; the odd last step stacks its first half step the same way
-        assert set(shapes) == {(n,), (2, n)}
-        rows = [1 if shape == (n,) else 2 for shape in shapes]
-        assert rows == [1, 2, 2, 2, 1, 1, 1, 1] * -(-steps // 2)
-        assert sum(rows) == 11 * -(-steps // 2)
-        # above the block: 11 single-row calls a pair
-        assert one_row_shapes == [(n,)] * (11 * -(-steps // 2))
+            shapes.clear()
+            traj = solve(steps * dt, dt)
+            stacked, est = _integrate(_row_by_row(made[-1]), y0, grid, dt,
+                                      stacked=True)
+            assert np.array_equal(traj.values, stacked)
+            assert traj.metadata["max_step_error"] == est > 0
+            if route == "leaf" and block == 2 * n:
+                # 8 calls and 11 rows a pair: the shared first stage, three
+                # calls of the first step's stages beside the 2h step's,
+                # then the second step; the odd last step stacks its
+                # first half step the same way
+                assert set(shapes) == {(n,), (2, n)}
+                rows = [1 if shape == (n,) else 2 for shape in shapes]
+                assert rows == [1, 2, 2, 2, 1, 1, 1, 1] * pairs
+            else:
+                # 11 single-row calls a pair
+                assert shapes == [(n,)] * (11 * pairs)
 
 
 def _abort_problem(case):
@@ -186,8 +207,16 @@ ABORTS = {
 }
 
 
-@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "one-row"])
-@pytest.mark.parametrize("route, case", sorted(ABORTS))
+def _marches(routes):
+    """(*route, stacked) for each route: the leaf route stacked and one row
+    per call, rk one row per call, its only march."""
+    return [pytest.param(*route, stacked, id="-".join(
+                (*route, "stacked" if stacked else "one-row")))
+            for route in routes
+            for stacked in ((True, False) if route[0] == "leaf" else (False,))]
+
+
+@pytest.mark.parametrize("route, case, stacked", _marches(sorted(ABORTS)))
 def test_aborts_keep_the_step_by_step_messages(route, case, stacked,
                                                monkeypatch):
     if not stacked:
@@ -204,8 +233,7 @@ def test_aborts_keep_the_step_by_step_messages(route, case, stacked,
 
 
 @pytest.mark.filterwarnings("error")  # a RuntimeWarning would reach stderr
-@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "one-row"])
-@pytest.mark.parametrize("route", ["rk", "leaf"])
+@pytest.mark.parametrize("route, stacked", _marches([("rk",), ("leaf",)]))
 def test_non_finite_run_ends_in_one_abort_line(route, stacked, tmp_path,
                                                capsys, scenario_dir,
                                                monkeypatch):
