@@ -208,8 +208,10 @@ def parse_config(raw: Any) -> ScenarioConfig:
             f"'outputs' keys must be among {sorted(_OUTPUT_KEYS)}"
         )
     for k, v in outputs.items():
-        if not isinstance(v, str) or not v:
-            raise ConfigError(f"outputs.{k} must be a nonempty file name")
+        if (not isinstance(v, str) or v in ("", ".", "..")
+                or "/" in v or "\\" in v):
+            raise ConfigError(f"outputs.{k} must be a nonempty file name "
+                              f"with no directory part, got {v!r}")
 
     oracles = raw.get("oracles", {})
     if not isinstance(oracles, dict) or set(oracles) - _ORACLE_KEYS:

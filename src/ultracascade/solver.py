@@ -74,10 +74,11 @@ RECURRENT_BLOCK = 1 << 12
 # most complex values (rows x leaves) in one stacked leaf sweep of the
 # rk4 march: the leaf route stacks two rows while 2 n fits, and more
 # leaves go one row per call.  Stacking saves per-call overhead and
-# costs copies and broadcasts, and at p = 2 it breaks even near n = 512.
-# Time per step stacked over one-row, medians of 21 alternating runs:
-# 0.87x at n = 64, 0.91x at 256, 0.99x at 512, 1.08x at 1024 and 1.17x
-# at 2048
+# costs copies and broadcasts; at p = 2 it breaks even between n = 512
+# and 1024.
+# Time per step stacked over one-row, medians of 31 alternating runs in
+# two sets: 0.83-0.86x at n = 64, 0.89x at 256, 0.95-0.99x at 512,
+# 1.02-1.03x at 1024, 1.04-1.07x at 2048 and 1.14-1.17x at 4096
 STAGE_BLOCK = 1 << 10
 
 # largest stored trajectory, in bytes of (steps + 1) x columns complex
@@ -342,10 +343,11 @@ def solve_recurrent(
 def _rk4_rows(
     rhs: Callable, y: np.ndarray, h: np.ndarray, k1: np.ndarray
 ) -> np.ndarray:
-    """Classical RK4 steps from the rows of y, row i of size h[i] (an
-    (m, 1) column, or a number for a vector y), given their first stages
-    k1 = rhs(y).  Every row goes through the operations of a one-row step
-    in the same order, so it gets that step's values bit for bit."""
+    """Classical RK4 steps from y with first stages k1 = rhs(y), row i
+    of size h[i]: h an (m, 1) column, and y and k1 (m, n) or vectors that
+    broadcast against it, or h a number for a vector y.  Every row goes
+    through a one-row step's operations in order, so it gets that step's
+    values bit for bit."""
     k2 = rhs(y + (h / 2) * k1)
     k3 = rhs(y + (h / 2) * k2)
     k4 = rhs(y + h * k3)
@@ -390,9 +392,7 @@ def _integrate(
         """RK4 steps of h and h_other from y, sharing their first stage."""
         k1 = rhs(y)
         if stacked:
-            rows = _rk4_rows(rhs, np.stack((y, y)), np.array([[h], [h_other]]),
-                             np.stack((k1, k1)))
-            return rows[0], rows[1]
+            return tuple(_rk4_rows(rhs, y, np.array([[h], [h_other]]), k1))
         return _rk4_rows(rhs, y, h, k1), _rk4_rows(rhs, y, h_other, k1)
 
     def keep(k: int, kept: list[np.ndarray], other: np.ndarray) -> None:
@@ -496,8 +496,9 @@ def _leaf_sweep(
         (T_kappa g)(a) = g(a) sum_j kappa(u_j) (nu(u_j) - nu(u_{j-1}))
                          - sum_j kappa(u_j) (G(u_j) - G(u_{j-1}))  (v = a).
 
-    One call makes two subtree-sum passes (cumsums over the preorder-
-    contiguous leaf ranges) and three root-path sums over
+    One call makes one subtree-sum pass (cumsums over the preorder-
+    contiguous leaf ranges) and one difference x[up] - x over the rows of
+    f and g together, then three root-path sums over
     ``tree.root_path_table()``.  The operator annihilates constants, so
     it is applied to g = f - f[0]: a constant field gives g == 0 and an
     exact zero.  No wavelet or closed form is used.
@@ -508,17 +509,16 @@ def _leaf_sweep(
     from some thousands of leaves on, a size no benchmark workload runs.
 
     ``f`` may also be an (m, L) stack of fields.  It is swept as m
-    disjoint copies of the tree side by side: every gather stays 1-D,
-    every root-path sum is a (D, m * V) sum over axis 0, and the cumsums
-    and f - f[0] restart on every row, so each row gets the values of a
-    call on it alone, bit for bit.
+    disjoint copies of the tree side by side, 2m in the pass over f and
+    g: every gather stays 1-D, every root-path sum is a (D, m * V) sum
+    over axis 0, and the cumsums and f - f[0] restart on every row, so
+    each row gets the values of a call on it alone, bit for bit.
     """
     check_same_tree(tree, interaction, dissipation,
                     message="kernels must live on the field's tree")
     n_v, n_l = tree.n_vertices, tree.n_leaves
     nu = tree.measure[tree.leaves]
-    start = tree.leaf_ranges[:, 0].astype(np.intp)
-    end = tree.leaf_ranges[:, 1].astype(np.intp)
+    start, end = tree.leaf_ranges.T.astype(np.intp)
     # the root is its own ``up``: every per-vertex difference x[up] - x
     # then vanishes at the root, which is the slot the path table pads with
     up = tree.up
@@ -526,46 +526,44 @@ def _leaf_sweep(
     # over axis 1
     paths = np.ascontiguousarray(tree.root_path_table().T)
     leaf_paths = np.ascontiguousarray(paths[:, tree.leaves])
-    k_f = interaction.values
-    k_f_up = k_f[up]
-    k_g_up = dissipation.values[up]
-    d_nu = tree.measure[up] - tree.measure
-    # rows -> the arrays above for that many disjoint copies of the tree
-    # side by side (vertex v of row i at i * V + v, leaf l at i * L + l),
-    # and a prefix-sum buffer with a row per copy
-    layouts = {1: (nu, start, end, up, paths, leaf_paths, k_f, k_f_up,
-                   k_g_up, d_nu, np.zeros((1, n_l + 1), dtype=np.complex128))}
+    # rows m -> the arrays above, k_F, k_F[up], k_G[up] and nu[up] - nu
+    # for disjoint copies of the tree side by side (vertex v of copy i at
+    # i * V + v, leaf l at i * L + l): 2m for the pass over the rows of f
+    # and g, m for the rest; and a prefix-sum buffer with a row per copy
+    layouts = {}
 
     def layout(m: int) -> tuple:
         if m not in layouts:
             layouts[m] = (
-                np.tile(nu, m), _side_by_side(start, m, n_l + 1),
-                _side_by_side(end, m, n_l + 1), _side_by_side(up, m, n_v),
-                _side_by_side(paths, m, n_v), _side_by_side(leaf_paths, m, n_v),
-                *(np.tile(a, m) for a in (k_f, k_f_up, k_g_up, d_nu)),
-                np.zeros((m, n_l + 1), dtype=np.complex128),
+                *(_side_by_side(a, 2 * m, n_l + 1) for a in (start, end)),
+                _side_by_side(up, 2 * m, n_v),
+                *(_side_by_side(a, m, n_v) for a in (paths, leaf_paths)),
+                *(np.tile(a, m) for a in (
+                    interaction.values, interaction.values[up],
+                    dissipation.values[up], tree.measure[up] - tree.measure)),
+                np.zeros((2 * m, n_l + 1), dtype=np.complex128),
             )
         return layouts[m]
 
     def rhs(f: np.ndarray) -> np.ndarray:
         rows = f.reshape(-1, n_l)
-        (nu, start, end, up, paths, leaf_paths,
+        (start, end, up, paths, leaf_paths,
          k_f, k_f_up, k_g_up, d_nu, prefix) = layout(len(rows))
-        flat_prefix = prefix.ravel()
-
-        def subtree_sums(w: np.ndarray) -> np.ndarray:
-            # the cumsum restarts on every row
-            np.add.accumulate(w.reshape(-1, n_l), axis=1, out=prefix[:, 1:])
-            return flat_prefix[end] - flat_prefix[start]
-
-        phi = subtree_sums(rows.ravel() * nu)
-        inner = k_f * phi + (k_f_up * (phi[up] - phi))[paths].sum(axis=0)
-        kappa_up = inner[up] - k_g_up
-        g = (rows - rows[:, :1]).ravel()
-        big_g = subtree_sums(g * nu)
+        g = rows - rows[:, :1]
+        # one pass over the rows of f and then of g: the cumsum restarts
+        # on every row, and x[up] - x gives their per-vertex differences
+        np.add.accumulate(np.concatenate((rows, g)) * nu, axis=1,
+                          out=prefix[:, 1:])
+        flat = prefix.ravel()
+        sums = flat[end] - flat[start]
+        diff = sums[up] - sums
+        half = len(rows) * n_v
+        phi, d_phi, d_big_g = sums[:half], diff[:half], diff[half:]
+        inner = k_f * phi + (k_f_up * d_phi)[paths].sum(axis=0)
+        kappa_up = inner[up[:half]] - k_g_up
         a = (kappa_up * d_nu)[leaf_paths].sum(axis=0)
-        b = (kappa_up * (big_g[up] - big_g))[leaf_paths].sum(axis=0)
-        return (g * a - b).reshape(f.shape)
+        b = (kappa_up * d_big_g)[leaf_paths].sum(axis=0)
+        return (g.ravel() * a - b).reshape(f.shape)
 
     return rhs
 

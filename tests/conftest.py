@@ -172,6 +172,57 @@ def one_shot_interaction_check(kernel: uc.Kernel,
     return worst, n_slots * n_slots
 
 
+def two_pass_leaf_sweep(tree: uc.BallTree, interaction: uc.Kernel,
+                        dissipation: uc.Kernel):
+    """The leaf sweep with a subtree-sum pass of its own for f and for
+    g = f - f[0], and m copies of every array for an (m, L) stack: the
+    form that the one stacked pass over f and g replaced, kept as its
+    reference, which it must match bit for bit."""
+    n_v, n_l = tree.n_vertices, tree.n_leaves
+
+    def side_by_side(index, m, stride):
+        return np.concatenate([index + i * stride for i in range(m)], axis=-1)
+
+    nu = tree.measure[tree.leaves]
+    start = tree.leaf_ranges[:, 0].astype(np.intp)
+    end = tree.leaf_ranges[:, 1].astype(np.intp)
+    up = tree.up
+    paths = np.ascontiguousarray(tree.root_path_table().T)
+    leaf_paths = np.ascontiguousarray(paths[:, tree.leaves])
+    k_f = interaction.values
+    k_f_up = k_f[up]
+    k_g_up = dissipation.values[up]
+    d_nu = tree.measure[up] - tree.measure
+
+    def rhs(f):
+        rows = f.reshape(-1, n_l)
+        m = len(rows)
+        (nu_m, start_m, end_m, up_m, paths_m, leaf_paths_m) = (
+            np.tile(nu, m), side_by_side(start, m, n_l + 1),
+            side_by_side(end, m, n_l + 1), side_by_side(up, m, n_v),
+            side_by_side(paths, m, n_v), side_by_side(leaf_paths, m, n_v))
+        k_f_m, k_f_up_m, k_g_up_m, d_nu_m = (
+            np.tile(a, m) for a in (k_f, k_f_up, k_g_up, d_nu))
+        prefix = np.zeros((m, n_l + 1), dtype=np.complex128)
+        flat_prefix = prefix.ravel()
+
+        def subtree_sums(w):
+            # the cumsum restarts on every row
+            np.add.accumulate(w.reshape(-1, n_l), axis=1, out=prefix[:, 1:])
+            return flat_prefix[end_m] - flat_prefix[start_m]
+
+        phi = subtree_sums(rows.ravel() * nu_m)
+        inner = k_f_m * phi + (k_f_up_m * (phi[up_m] - phi))[paths_m].sum(axis=0)
+        kappa_up = inner[up_m] - k_g_up_m
+        g = (rows - rows[:, :1]).ravel()
+        big_g = subtree_sums(g * nu_m)
+        a = (kappa_up * d_nu_m)[leaf_paths_m].sum(axis=0)
+        b = (kappa_up * (big_g[up_m] - big_g))[leaf_paths_m].sum(axis=0)
+        return (g * a - b).reshape(f.shape)
+
+    return rhs
+
+
 def dense_basis_matrix(basis: uc.WaveletBasis) -> np.ndarray:
     """Dense (slot, leaf) matrix whose rows are the wavelets' leaf values,
     written straight from ``coeffs`` and the leaf slices of the children:

@@ -95,6 +95,16 @@ def test_parse_config_defaults():
         (lambda c: c.update(dt=0.3), "does not divide"),
         (lambda c: c.update(outputs={"log": "x.txt"}), "'outputs' keys"),
         (lambda c: c.update(outputs={"trajectory": ""}), "nonempty file name"),
+        (lambda c: c.update(outputs={"trajectory": "../victim/keep.txt"}),
+         "no directory part, got '../victim/keep.txt'"),
+        (lambda c: c.update(outputs={"energy": "/abs/dir/abs.csv"}),
+         "outputs.energy must be a nonempty file name with no directory part"),
+        (lambda c: c.update(outputs={"summary": "sub\\s.json"}),
+         "no directory part"),
+        (lambda c: c.update(outputs={"trajectory": "out/"}),
+         "no directory part"),
+        (lambda c: c.update(outputs={"trajectory": "."}), "no directory part"),
+        (lambda c: c.update(outputs={"energy": ".."}), "no directory part"),
         (lambda c: c.update(oracles={"check_all": True}), "'oracles' keys"),
         (lambda c: c.update(oracles={"check_eigen": 1}), "true or false"),
     ],
@@ -780,6 +790,36 @@ def test_cli_run_refuses_outputs_sharing_one_file(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 2
     assert json.loads(path.read_text(encoding="utf-8")) == raw
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.json"]
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("validate", "invalid"), ("run", "error"), ("oracle", "error")])
+def test_cli_refuses_outputs_outside_the_output_directory(
+    command, prefix, tmp_path, capsys
+):
+    victim, elsewhere, out = (tmp_path / name
+                              for name in ("victim", "elsewhere", "out"))
+    victim.mkdir()
+    elsewhere.mkdir()
+    (victim / "keep.txt").write_text("keep\n", encoding="utf-8")
+    raw = minimal_config()
+    # out/../victim/keep.txt is the victim file itself
+    raw["outputs"] = {"trajectory": "../victim/keep.txt",
+                      "energy": str(elsewhere / "abs.csv")}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    extra = ["--out-dir", str(out)] if command == "run" else []
+    assert cli.main([command, str(path), *extra]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    line = (f"{prefix}: outputs.trajectory must be a nonempty file name "
+            "with no directory part, got '../victim/keep.txt'\n")
+    # validate reports on stdout, run and oracle on stderr
+    assert (captured.out, captured.err) == (
+        (line, "") if command == "validate" else ("", line))
+    assert (victim / "keep.txt").read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "elsewhere", "keep.txt", "s.json", "victim"]
+    assert leftovers(tmp_path) == []
 
 
 def test_cli_validate_reports_problem(tmp_path, capsys):

@@ -18,7 +18,7 @@ import ultracascade as uc
 from ultracascade import cli, solver
 from ultracascade.solver import _coefficient_rhs, _integrate, _leaf_sweep
 
-from conftest import dissipative_kernel, random_initial
+from conftest import dissipative_kernel, random_initial, two_pass_leaf_sweep
 
 
 def _random_trees(seed: int, count: int):
@@ -87,6 +87,26 @@ def test_leaf_sweep_rows_match_one_row_sweeps(m):
             assert np.array_equal(out, sweep(row))
         if m > 1:
             assert np.all(got[-1] == 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_leaf_sweep_matches_the_two_pass_form_bit_for_bit(m):
+    """One pass over the 2m rows of f and g gives every byte that a pass
+    for f and another for g give, and a constant field its exact zero."""
+    for rng, tree in _random_trees(340 + m, 30):
+        interaction = uc.random_kernel(tree, rng)
+        dissipation = uc.random_kernel(tree, rng)
+        sweep = _leaf_sweep(tree, interaction, dissipation)
+        reference = two_pass_leaf_sweep(tree, interaction, dissipation)
+        rows = _random_rows(rng, m, tree.n_leaves)
+        for f in (rows, rows[0]) if m == 1 else (rows,):
+            got = sweep(f)
+            assert got.shape == f.shape
+            assert got.tobytes() == reference(f).tobytes()
+        constant = np.full((m, tree.n_leaves), complex(*rng.uniform(-2, 2, 2)))
+        zero = sweep(constant)
+        assert zero.tobytes() == reference(constant).tobytes()
+        assert zero.shape == constant.shape and np.all(zero == 0)
 
 
 def test_coefficient_rhs_matches_one_row_gather_sum():
