@@ -9,11 +9,11 @@ Subcommands:
 * ``oracle <config>``: spectral and solver self-check sweeps with
   pass/fail verdicts and worst deviations.
 
-Exit codes: 0 success, 1 failed check, 2 configuration error, 3 solver
-abort.  Outputs are deterministic: running the same config twice yields
-byte-identical files.  ``run`` writes a scenario's three outputs to temp
-files beside them and renames them only once all three are written, so
-an error leaves the old set, or none, in place.
+Exit codes: 0 success, 1 failed check, 2 configuration error (or out of
+memory), 3 solver abort.  Outputs are deterministic: running the same
+config twice yields byte-identical files.  ``run`` writes a scenario's
+three outputs to temp files beside them and renames them only once all
+three are written, so an error leaves the old set, or none, in place.
 
 Work runs in another process only through ``_helpers``: it forks a
 helper per task, gives back each task's return value, pickled over a
@@ -74,12 +74,10 @@ from .oracles import (
 from .solver import (
     SolverAbort,
     Trajectory,
-    analyze_trajectory,
     energy_by_level,
     grid_steps,
     leaf_route,
     route_spread,
-    solve_leaf,
     solve_recurrent,
     solve_rk,
 )
@@ -493,13 +491,13 @@ def _leaf_route_beside(scen: Scenario) -> Iterator[Callable[[], Trajectory]]:
 def _solve_routes(scen: Scenario, leaf: Callable[[], Trajectory] | None,
                   stage: Callable[[Trajectory, int], None] | None = None
                   ) -> tuple[dict, dict | None]:
-    """Run the configured solver(s); return (per-solver metadata,
-    cross-solver disagreement or None), and hand the canonical trajectory
-    and a CPU budget for its writers to ``stage``, if given.  With a
-    ``leaf`` join function all three routes run, as ``solve_all`` runs
-    them: recurrent, rk, then the leaf route's trajectory from ``leaf``.
-    A recurrent or rk canonical trajectory is staged before the join, so
-    while a helper runs the leaf route it is written on one CPU fewer."""
+    """Run the configured solver(s), each from ``scen.v0`` (the leaf one is
+    ``leaf_route``); return (per-solver metadata, cross-solver disagreement or
+    None), and hand the canonical trajectory and a CPU budget for its writers
+    to ``stage``, if given.  With a ``leaf`` join function all three routes run
+    as ``solve_all`` runs them, the leaf route's trajectory from ``leaf`` last.
+    A recurrent or rk canonical trajectory is staged before the join, so while
+    a helper runs the leaf route it is written on one CPU fewer."""
     cfg = scen.config
     stage = stage or (lambda traj, cpus: None)
     args = (scen.system, scen.v0, cfg.t_end, cfg.dt)
@@ -513,16 +511,9 @@ def _solve_routes(scen: Scenario, leaf: Callable[[], Trajectory] | None,
             stage(trajs["leaf"], _usable_cpus())
         metadata = {name: t.metadata for name, t in trajs.items()}
         return metadata, route_spread(trajs)
-    if cfg.solver == "recurrent":
-        traj = solve_recurrent(*args)
-    elif cfg.solver == "rk":
-        traj = solve_rk(*args)
-    else:
-        leaf_traj = solve_leaf(
-            scen.tree, scen.interaction, scen.dissipation,
-            scen.f0, cfg.t_end, cfg.dt,
-        )
-        traj = analyze_trajectory(leaf_traj, scen.basis)
+    # built here, not at module level, so rebinding a route's name reaches it
+    route = {"recurrent": solve_recurrent, "rk": solve_rk, "leaf": leaf_route}
+    traj = route[cfg.solver](*args)
     stage(traj, _usable_cpus())
     return {cfg.solver: traj.metadata}, None
 
@@ -682,7 +673,7 @@ def _run_files(files: list[Path], configs: list[ScenarioConfig | Exception],
             results.append((*run_scenario_file(path, out_dir, cfg), ""))
         except SolverAbort as exc:
             results.append((EXIT_ABORT, "", f"abort: {path.name}: {exc}"))
-        except (ConfigError, ValueError, OSError) as exc:
+        except (ConfigError, ValueError, OSError, MemoryError) as exc:
             results.append((EXIT_CONFIG, "", f"error: {path.name}: {exc}"))
     return results
 
@@ -808,7 +799,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverAbort as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

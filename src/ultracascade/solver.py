@@ -297,7 +297,8 @@ def solve_recurrent(
     zero, so each depth is solved by numpy passes over only the vertices
     that carry a nonzero initial slot, at most ``RECURRENT_BLOCK``
     vertex-steps per pass: the temporaries stay bounded, and every value
-    is the one a single pass per depth would give.
+    is the one a single pass per depth would give.  A pass that leaves a
+    slot above ``BLOWUP_LIMIT``, or not finite, aborts the run unwarned.
     """
     grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
@@ -307,34 +308,37 @@ def solve_recurrent(
     live = np.flatnonzero(v0vec)
     live_depth = tree.depth[vertex[live]]
     per_pass = max(1, RECURRENT_BLOCK // len(grid))
-    for d in np.flatnonzero(np.bincount(live_depth)):
-        slots = live[live_depth == d]
-        verts, first, col = np.unique(
-            vertex[slots], return_index=True, return_inverse=True
-        )
-        # slots run in vertex order, so verts[lo:hi] own the slots
-        # slots[first[lo]:first[hi]]
-        first = np.append(first, len(slots))
-        for lo in range(0, len(verts), per_pass):
-            hi = min(lo + per_pass, len(verts))
-            block, part = verts[lo:hi], slice(first[lo], first[hi])
-            drive = np.zeros((len(grid), len(block)), dtype=np.complex128)
-            for anc, w in zip(system.anc_slot[:, block],
-                              system.weight[:, block]):
-                drive += w * values[:, anc]
-            integral = np.concatenate((np.zeros((1, len(block))), np.cumsum(
-                float(dt) * (drive[1:] + drive[:-1]) / 2.0, axis=0
-            )), axis=0)
-            factor = np.exp(-system.eta[block] * grid[:, None] - integral)
-            values[:, slots[part]] = solved = (
-                v0vec[slots[part]] * factor[:, col[part] - lo]
+    # overflow and nan are not warned about: the magnitude test aborts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in np.flatnonzero(np.bincount(live_depth)):
+            slots = live[live_depth == d]
+            verts, first, col = np.unique(
+                vertex[slots], return_index=True, return_inverse=True
             )
-            blown = np.abs(solved).max(axis=0) > BLOWUP_LIMIT
-            if blown.any():
-                raise SolverAbort(
-                    f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} "
-                    f"at slot {basis.labels[slots[part][np.argmax(blown)]]!r}"
+            # slots run in vertex order, so verts[lo:hi] own the slots
+            # slots[first[lo]:first[hi]]
+            first = np.append(first, len(slots))
+            for lo in range(0, len(verts), per_pass):
+                hi = min(lo + per_pass, len(verts))
+                block, part = verts[lo:hi], slice(first[lo], first[hi])
+                drive = np.zeros((len(grid), len(block)), dtype=np.complex128)
+                for anc, w in zip(system.anc_slot[:, block],
+                                  system.weight[:, block]):
+                    drive += w * values[:, anc]
+                integral = np.concatenate((np.zeros((1, len(block))), np.cumsum(
+                    float(dt) * (drive[1:] + drive[:-1]) / 2.0, axis=0
+                )), axis=0)
+                factor = np.exp(-system.eta[block] * grid[:, None] - integral)
+                values[:, slots[part]] = solved = (
+                    v0vec[slots[part]] * factor[:, col[part] - lo]
                 )
+                # nan fails every comparison: written so that it aborts too
+                blown = ~(np.abs(solved).max(axis=0) <= BLOWUP_LIMIT)
+                if blown.any():
+                    raise SolverAbort(
+                        f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} or was not "
+                        f"finite at slot {basis.labels[slots[part][blown.argmax()]]!r}"
+                    )
     return coefficient_trajectory(
         basis, grid, values, _metadata("recurrent", t_end, dt)
     )

@@ -54,6 +54,10 @@ MEAN_ZERO_RTOL = 1e-10
 # relative spread allowed by the equal-measure check of roots-of-unity
 EQUAL_MEASURE_RTOL = 1e-12
 
+# build_basis refuses a wavelet whose weighted norm sum_m |c_m|^2 nu(child_m)
+# is farther than this from 1
+NORM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LeafField:
@@ -368,14 +372,23 @@ def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     blocks = []
-    for i in first[order].tolist():
-        row = nu[i, :branching[i]]
-        if scheme == "gram-schmidt":
-            block = _gram_schmidt_block(row)
-        else:
-            block = _roots_of_unity_block(row, tree.label(internal[i]))
-        block.setflags(write=False)
-        blocks.append(block)
+    # measures near the ends of the float range overflow or underflow
+    # here: the norm check below refuses the block instead
+    with np.errstate(all="ignore"):
+        for i in first[order].tolist():
+            row = nu[i, :branching[i]]
+            if scheme == "gram-schmidt":
+                block = _gram_schmidt_block(row)
+            else:
+                block = _roots_of_unity_block(row, tree.label(internal[i]))
+            norms = np.abs(block) ** 2 @ row
+            if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # nan fails too
+                raise ValueError(
+                    f"ball {tree.label(internal[i])!r}: its child measures give no "
+                    f"orthonormal wavelets (a norm is not 1 within {NORM_TOL:g})"
+                )
+            block.setflags(write=False)
+            blocks.append(block)
     return WaveletBasis(tree, scheme, blocks, rank[group.ravel()])
 
 

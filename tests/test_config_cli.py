@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ultracascade as uc
 from ultracascade import cli
 
-from conftest import leftovers, no_child_left
+from conftest import leftovers, no_child_left, random_mean_zero_field
 
 
 def minimal_config() -> dict:
@@ -1036,3 +1036,163 @@ def test_cli_import_and_validate_load_no_process_pool_or_hashlib(scenario_dir):
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "[]" and lines[-1] == "[]"
     assert lines[1].startswith("ok:")
+
+
+def test_lone_leaf_run_writes_the_bytes_of_its_check_cross_twin(tmp_path):
+    """A lone ``solver: "leaf"`` run takes the leaf route of an all-routes
+    run, from ``synthesize(v0)``: on a leaf-initial scenario, adding
+    ``check_cross`` moves no byte of its trajectory or energy CSV."""
+    raw = dict(minimal_config(), tree={"p": 2, "depth": 3}, solver="leaf")
+    tree = uc.build_tree(raw["tree"])
+    field = random_mean_zero_field(tree, np.random.default_rng(26))
+    raw["initial"] = {"leaves": [list(rec) for rec in field.records()]}
+    written = {}
+    for name, oracles in (("lone", {}), ("twin", {"check_cross": True})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(raw, oracles=oracles)), encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 0
+        written[name] = [(tmp_path / f"{name}_{kind}.csv").read_bytes()
+                         for kind in ("trajectory", "energy")]
+    assert written["lone"] == written["twin"]
+
+
+def scenario_with(tmp_path: Path, scenario_dir: Path, **changes) -> Path:
+    """``single_wavelet.json`` with top-level keys changed, its outputs
+    left at their defaults beside the new file."""
+    raw = json.loads((scenario_dir / "single_wavelet.json").read_text())
+    raw.pop("outputs")
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
+    return path
+
+
+def test_cli_recurrent_overflow_aborts_in_one_line(tmp_path, scenario_dir):
+    """Coefficients near the top of the float range overflow in the
+    recurrent passes: one ``abort:`` line naming the slot, no warning."""
+    path = scenario_with(tmp_path, scenario_dir, dt=0.5, t_end=1,
+                         initial={"wavelets": [["0", 0, 1e308, 1e308]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", "run", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_ABORT
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "abort: coefficient magnitude exceeded 1e+12 or was not finite "
+        "at slot '0:0'"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["changed.json"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+@pytest.mark.parametrize("measure", [1e300, 1e305, 1e-300])
+def test_cli_refuses_a_basis_that_is_not_orthonormal(
+    tmp_path, scenario_dir, capsys, recwarn, command, measure
+):
+    """Child measures near the ends of the float range give Gram-Schmidt
+    blocks of zeros or nan: refused in one line naming the ball, before
+    any solve, with no warning and no output."""
+    path = scenario_with(tmp_path, scenario_dir,
+                         tree={"p": 2, "depth": 2, "A": measure, "q": 2.0})
+    assert cli.main([command, str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid: " if command == "validate" else "error: ")
+    assert lines[0].endswith(
+        "ball '': its child measures give no orthonormal wavelets "
+        "(a norm is not 1 within 1e-09)")
+    assert [str(w.message) for w in recwarn] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["changed.json"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "oracle", "run --jobs 2"])
+def test_cli_reports_a_memory_error_in_one_line(
+    tmp_path, scenario_dir, monkeypatch, capsys, command
+):
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 8.00 MiB")
+
+    monkeypatch.setattr(cli, "build_scenario", out_of_memory)
+    target = scenario_dir / "nested_pair.json"
+    args = [command, str(target)]
+    if command.startswith("run"):
+        args = ["run", str(scenario_dir if "--jobs" in command else target),
+                "--out-dir", str(tmp_path), *command.split()[1:]]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if command == "run --jobs 2":
+        assert captured.err.splitlines() == [
+            f"error: {path.name}: Unable to allocate 8.00 MiB"
+            for path in sorted(scenario_dir.glob("*.json"))]
+    else:
+        assert captured.err == "error: Unable to allocate 8.00 MiB\n"
+    assert list(tmp_path.iterdir()) == []
+    assert no_child_left()
+
+
+def test_cli_validate_out_of_address_space_exits_2_in_one_line(tmp_path,
+                                                               scenario_dir):
+    """A depth-20 ``validate`` in a child whose address space is capped a
+    little above what an idle ``validate`` maps: numpy's allocation error
+    is one ``error:`` line with exit 2, never a traceback."""
+    resource = pytest.importorskip("resource")
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status to size the cap")
+    env = without_blas_threads(OPENBLAS_NUM_THREADS="1")
+    idle = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom ultracascade import cli\n"
+         "assert cli.main(['validate', sys.argv[1]]) == 0\n"
+         "print(open('/proc/self/status').read())",
+         str(scenario_dir / "nested_pair.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert idle.returncode == 0, idle.stderr
+    peak_kb = next(int(line.split()[1]) for line in idle.stdout.splitlines()
+                   if line.startswith("VmPeak:"))
+    # a depth-20 tree needs hundreds of MiB more than this margin
+    cap = peak_kb * 1024 + 256 * 2 ** 20
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(minimal_config(), tree={"p": 2, "depth": 20})),
+                    encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", "validate", str(path)],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+
+
+def imported_modules(*args: str) -> set[str]:
+    """Modules a fresh interpreter imports, as ``-X importtime`` lists
+    them, for the command line ``args``."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")} - {"imported package"}
+
+
+def test_cli_start_up_imports_nothing_new(tmp_path, scenario_dir):
+    """Beyond what ``import numpy`` loads, ``validate`` loads only these
+    modules and the package's own, and ``run`` adds only hashlib.  Only
+    additions fail: a module that stops loading is fine."""
+    numpy_modules = imported_modules("-c", "import numpy")
+    scenario = str(scenario_dir / "nested_pair.json")
+    validate = imported_modules("-m", "ultracascade", "validate", scenario)
+    run = imported_modules("-m", "ultracascade", "run", scenario,
+                           "--out-dir", str(tmp_path))
+    allowed = {
+        "__future__", "_json", "_locale", "argparse", "copy", "dataclasses",
+        "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+        "locale", "runpy", "signal",
+    }
+    new = sorted(m for m in validate - numpy_modules - allowed
+                 if m.split(".")[0] != "ultracascade")
+    assert new == []
+    assert sorted(run - validate - {"hashlib", "_hashlib", "_blake2"}) == []

@@ -1,5 +1,6 @@
 """Cascade system assembly and the three solver routes."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -687,3 +688,14 @@ def test_solvers_reject_foreign_initial_field():
         uc.solve_recurrent(system, v0, 1.0, 1e-2)
     with pytest.raises(ValueError, match="basis"):
         uc.solve_rk(system, v0, 1.0, 1e-2)
+
+
+def test_recurrent_aborts_on_a_nan_weight(scenario_dir):
+    """nan passes no magnitude comparison: a nan coupling weight aborts
+    the recurrent route, naming the slot, where it once returned nan."""
+    scen = uc.build_scenario(uc.load_config(scenario_dir / "nested_pair.json"))
+    weight = scen.system.weight.copy()
+    weight[np.nonzero(weight)[0][0], np.nonzero(weight)[1][0]] = np.nan
+    system = dataclasses.replace(scen.system, weight=weight)
+    with pytest.raises(uc.SolverAbort, match=r"or was not finite at slot '0:0'"):
+        uc.solve_recurrent(system, scen.v0, 1.0, 1e-3)
