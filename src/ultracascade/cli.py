@@ -72,6 +72,7 @@ from .oracles import (
     random_kernel,
 )
 from .solver import (
+    CascadeSystem,
     SolverAbort,
     Trajectory,
     energy_by_level,
@@ -518,22 +519,22 @@ def _solve_routes(scen: Scenario, leaf: Callable[[], Trajectory] | None,
     return {cfg.solver: traj.metadata}, None
 
 
-def _self_checks(scen: Scenario, eigen_kernels: list[tuple[str, Kernel]],
+def _self_checks(system: CascadeSystem, eigen_kernels: list[tuple[str, Kernel]],
                  phi_kernels: list[tuple[str, Kernel]]) -> dict:
     """Self-check records: the dense eigen and interaction checks over
     (name, kernel) lists.  An empty list leaves its check out; a check
     the tree is too big for gets a ``skipped`` record with the reason."""
     out: dict = {}
     for name, kernels in (("eigen", eigen_kernels), ("interaction", phi_kernels)):
-        reason = kernels and dense_check_refusal(name, scen.tree)
+        reason = kernels and dense_check_refusal(name, system.tree)
         if reason:
             out[name] = {"skipped": reason}
         elif kernels and name == "eigen":
-            devs = {k: eigen_check(kernel, scen.basis) for k, kernel in kernels}
+            devs = {k: eigen_check(kernel, system.basis) for k, kernel in kernels}
             out[name] = {"per_kernel": devs,
                          **_verdict(max(devs.values()), EIGEN_TOL)}
         elif kernels:
-            found = [interaction_check(kernel, scen.basis) for _, kernel in kernels]
+            found = [interaction_check(kernel, system.basis) for _, kernel in kernels]
             out[name] = {"pairs": sum(n for _, n in found),
                          **_verdict(max(d for d, _ in found), INTERACTION_TOL)}
     return out
@@ -561,7 +562,8 @@ def _check_line(name: str, rec: dict, n_slots: int) -> str:
 def _refuse_oversized_flags(scen: Scenario) -> None:
     """Refuse, before any solve, a dense check flag the tree is too big for."""
     for name, flag in (("eigen", "check_eigen"), ("interaction", "check_phi")):
-        reason = scen.config.oracles.get(flag) and dense_check_refusal(name, scen.tree)
+        reason = (scen.config.oracles.get(flag)
+                  and dense_check_refusal(name, scen.system.tree))
         if reason:
             raise ConfigError(f"oracles.{flag}: {reason}")
 
@@ -617,7 +619,8 @@ def run_scenario_file(config_path: Path, out_dir: Path | None,
     names = _output_names(config_path, cfg)
 
     flags = cfg.oracles
-    own = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
+    sys_ = scen.system
+    own = [("interaction", sys_.interaction), ("dissipation", sys_.dissipation)]
     all_routes = cfg.solver == "all" or flags.get("check_cross", False)
     outputs = (target / names[kind] for kind in ("trajectory", "energy", "summary"))
     # all three outputs are written in full before any of them is replaced
@@ -628,7 +631,7 @@ def run_scenario_file(config_path: Path, out_dir: Path | None,
 
         # the dense checks run while a helper may run the leaf route
         with _leaf_route_beside(scen) if all_routes else nullcontext() as leaf:
-            checks = _self_checks(scen, own if flags.get("check_eigen") else [],
+            checks = _self_checks(sys_, own if flags.get("check_eigen") else [],
                                   own[:1] if flags.get("check_phi") else [])
             solver_metadata, disagreement = _solve_routes(scen, leaf, stage)
         if flags.get("check_cross"):
@@ -642,9 +645,9 @@ def run_scenario_file(config_path: Path, out_dir: Path | None,
             "basis": cfg.basis,
             "t_end": cfg.t_end,
             "dt": cfg.dt,
-            "n_leaves": scen.tree.n_leaves,
-            "n_slots": scen.system.n_slots,
-            "n_couplings": scen.system.n_couplings,
+            "n_leaves": sys_.tree.n_leaves,
+            "n_slots": sys_.n_slots,
+            "n_couplings": sys_.n_couplings,
             "solver_metadata": solver_metadata,
             "outputs": names,
         }
@@ -722,7 +725,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     sys_ = scen.system
     print(
         f"ok: {sys_.n_slots} wavelet slots, {sys_.n_couplings} couplings, "
-        f"{scen.tree.n_leaves} leaves over {scen.tree.n_vertices} balls; "
+        f"{sys_.tree.n_leaves} leaves over {sys_.tree.n_vertices} balls; "
         f"solver={cfg.solver}, basis={cfg.basis}, "
         f"grid={grid_steps(cfg.t_end, cfg.dt)} steps"
     )
@@ -732,19 +735,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(Path(args.config))
     scen = build_scenario(cfg)
+    sys_ = scen.system
     rng = np.random.default_rng(args.seed)
-    kernels = [("interaction", scen.interaction), ("dissipation", scen.dissipation)]
-    kernels += [(f"random-{i}", random_kernel(scen.tree, rng))
+    kernels = [("interaction", sys_.interaction), ("dissipation", sys_.dissipation)]
+    kernels += [(f"random-{i}", random_kernel(sys_.tree, rng))
                 for i in range(ORACLE_RANDOM_KERNELS)]
     with _leaf_route_beside(scen) as leaf:
-        checks = _self_checks(scen, kernels, kernels)
+        checks = _self_checks(sys_, kernels, kernels)
         # the dense checks report before the solve, which may abort
         for name, rec in checks.items():
-            print(_check_line(name, rec, scen.basis.n_slots))
+            print(_check_line(name, rec, sys_.n_slots))
         _, spread = _solve_routes(scen, leaf)
     checks["cross_solver"] = _verdict(spread["max"], CROSS_SOLVER_TOL,
                                       "max_disagreement")
-    print(_check_line("cross_solver", checks["cross_solver"], scen.basis.n_slots))
+    print(_check_line("cross_solver", checks["cross_solver"], sys_.n_slots))
     passed = all(rec.get("pass", True) for rec in checks.values())
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -16,15 +16,7 @@ from typing import Any
 from .solver import CascadeSystem, assemble, check_trajectory_budget, grid_steps
 from .spectral import Kernel
 from .tree import BallTree, build_tree
-from .wavelets import (
-    SCHEMES,
-    LeafField,
-    WaveletBasis,
-    WaveletField,
-    analyze,
-    build_basis,
-    synthesize,
-)
+from .wavelets import SCHEMES, LeafField, WaveletField, analyze, build_basis
 
 __all__ = [
     "ConfigError",
@@ -111,8 +103,7 @@ def _check_kernel_spec(spec: Any, where: str) -> dict:
         _complex_pair(spec["a"], f"{where}.a")
         if not _is_number(spec["b"]):
             raise ConfigError(f"{where}.b must be a number")
-        for rec in spec.get("overrides", []):
-            _check_value_record(rec, f"{where}.overrides")
+        _check_records(spec.get("overrides", []), f"{where}.overrides")
     elif kind == "table":
         extra = set(spec) - {"type", "entries"}
         if extra:
@@ -120,8 +111,7 @@ def _check_kernel_spec(spec: Any, where: str) -> dict:
         entries = spec.get("entries")
         if not isinstance(entries, list) or not entries:
             raise ConfigError(f"{where}: table kernel needs nonempty 'entries'")
-        for rec in entries:
-            _check_value_record(rec, f"{where}.entries")
+        _check_records(entries, f"{where}.entries")
     else:
         raise ConfigError(
             f"{where}.type must be 'power' or 'table', got {kind!r}"
@@ -129,16 +119,29 @@ def _check_kernel_spec(spec: Any, where: str) -> dict:
     return spec
 
 
-def _check_value_record(rec: Any, where: str) -> None:
-    if (
-        not isinstance(rec, (list, tuple))
-        or len(rec) != 3
-        or not isinstance(rec[0], str)
-        or not all(_is_number(x) for x in rec[1:])
-    ):
-        raise ConfigError(
-            f"{where} records must be [path, real, imag], got {rec!r}"
-        )
+def _check_records(records: Any, where: str, width: int = 1) -> None:
+    """Check a list of [path, real, imag] records, or of [path, index,
+    real, imag] ones when ``width`` is 2, and refuse two that name one key
+    (their first ``width`` fields) rather than let the last one win.  A
+    path has one spelling (``BallTree.vertices`` rejects "01", " 0" and
+    "+1"), so equal text is the only way to name one ball twice."""
+    if not isinstance(records, list):
+        raise ConfigError(f"{where} must be a list of records")
+    shape = "[path, real, imag]" if width == 1 else "[path, index, real, imag]"
+    first: dict[tuple, int] = {}
+    for i, rec in enumerate(records):
+        if (
+            not isinstance(rec, (list, tuple))
+            or len(rec) != width + 2
+            or not isinstance(rec[0], str)
+            or not all(isinstance(x, int) and _is_number(x) for x in rec[1:width])
+            or not all(_is_number(x) for x in rec[width:])
+        ):
+            raise ConfigError(f"{where} records must be {shape}, got {rec!r}")
+        j = first.setdefault(tuple(rec[:width]), i)
+        if j != i:
+            raise ConfigError(f"{where}: records {j} and {i} (counted from 0) "
+                              f"both name {list(rec[:width])!r}")
 
 
 def parse_config(raw: Any) -> ScenarioConfig:
@@ -176,23 +179,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
             "'leaves' (records [path, real, imag])"
         )
     kind, records = next(iter(initial.items()))
-    if not isinstance(records, list):
-        raise ConfigError(f"initial.{kind} must be a list of records")
-    for rec in records:
-        if kind == "leaves":
-            _check_value_record(rec, "initial.leaves")
-        else:
-            if (
-                not isinstance(rec, (list, tuple))
-                or len(rec) != 4
-                or not isinstance(rec[0], str)
-                or not isinstance(rec[1], int) or isinstance(rec[1], bool)
-                or not all(_is_number(x) for x in rec[2:])
-            ):
-                raise ConfigError(
-                    "initial.wavelets records must be "
-                    f"[path, index, real, imag], got {rec!r}"
-                )
+    _check_records(records, f"initial.{kind}", 1 if kind == "leaves" else 2)
 
     for key in ("t_end", "dt"):
         if not _is_number(raw[key]):
@@ -272,16 +259,14 @@ def build_kernel(tree: BallTree, spec: dict) -> Kernel:
 
 @dataclass
 class Scenario:
-    """Fully built scenario: objects ready for solving."""
+    """Fully built scenario: the parsed config, the assembled system and
+    the coefficient state ``v0`` that every route, the leaf route too,
+    starts from.  The tree, basis and kernels are read through
+    ``system``, which owns them, so each has one way to be reached."""
 
     config: ScenarioConfig
-    tree: BallTree
-    basis: WaveletBasis
-    interaction: Kernel
-    dissipation: Kernel
     system: CascadeSystem
     v0: WaveletField
-    f0: LeafField
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -290,7 +275,9 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     A shorthand tree over ``tree.MAX_VERTICES`` balls, or a stored
     trajectory over ``solver.MAX_TRAJECTORY_BYTES``, is refused before
     either is allocated; so is a tree of a single ball, which has no
-    wavelet slot to solve.
+    wavelet slot to solve.  Wavelet-initial input is read straight into
+    ``v0`` with no synthesis pass; leaf-initial input is parsed into a
+    ``LeafField`` that goes to ``analyze`` and is not kept.
     """
     try:
         tree = build_tree(cfg.tree)  # refuses a shorthand tree over budget
@@ -304,22 +291,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         kind, records = next(iter(cfg.initial.items()))
         if kind == "wavelets":
             v0 = WaveletField.from_records(basis, records)
-            f0 = synthesize(v0)
-        else:
-            f0 = LeafField.from_records(tree, records)
-            v0 = analyze(basis, f0)  # rejects non-mean-zero input
+        else:  # analyze rejects non-mean-zero input
+            v0 = analyze(basis, LeafField.from_records(tree, records))
         system = assemble(tree, basis, interaction, dissipation)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return Scenario(
-        config=cfg,
-        tree=tree,
-        basis=basis,
-        interaction=interaction,
-        dissipation=dissipation,
-        system=system,
-        v0=v0,
-        f0=f0,
-    )
+    return Scenario(config=cfg, system=system, v0=v0)

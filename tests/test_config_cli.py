@@ -1,6 +1,7 @@
 """Scenario configs and the command-line interface."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -161,13 +162,28 @@ def test_build_kernel_from_specs():
 def test_build_scenario_wavelet_initial():
     cfg = uc.parse_config(minimal_config())
     scen = uc.build_scenario(cfg)
-    assert scen.tree.n_leaves == 4
+    assert scen.system.tree.n_leaves == 4
     dense = scen.v0.dense()
-    slot = scen.basis.slot_of(scen.tree.root, 0)
+    slot = scen.system.basis.slot_of(scen.system.tree.root, 0)
     assert dense[slot] == 1.0
-    assert np.abs(
-        scen.f0.values - uc.synthesize(scen.v0).values
-    ).max() == 0.0
+
+
+def test_scenario_keeps_one_copy_of_each_built_object():
+    scen = uc.build_scenario(uc.parse_config(minimal_config()))
+    assert [f.name for f in dataclasses.fields(scen)] == ["config", "system", "v0"]
+    assert scen.v0.basis is scen.system.basis
+    assert scen.system.basis.tree is scen.system.tree
+
+
+def test_build_scenario_makes_no_synthesis_pass(monkeypatch):
+    """Wavelet-initial input is read straight into ``v0``: building the
+    scenario never turns it into a leaf field."""
+    def refuse(self, vec):
+        raise AssertionError("synthesize_array called")
+
+    monkeypatch.setattr(uc.WaveletBasis, "synthesize_array", refuse)
+    scen = uc.build_scenario(uc.parse_config(minimal_config()))
+    assert scen.v0.dense()[0] == 1.0
 
 
 def test_build_scenario_leaf_initial_mean_zero():
@@ -178,7 +194,8 @@ def test_build_scenario_leaf_initial_mean_zero():
     ]}
     scen = uc.build_scenario(uc.parse_config(raw))
     back = uc.synthesize(scen.v0)
-    assert np.abs(back.values - scen.f0.values).max() <= 1e-12
+    given = uc.LeafField.from_records(scen.system.tree, raw["initial"]["leaves"])
+    assert np.abs(back.values - given.values).max() <= 1e-12
 
 
 def test_build_scenario_rejects_nonzero_mean_leaves():
@@ -822,6 +839,52 @@ def test_cli_refuses_outputs_outside_the_output_directory(
     assert leftovers(tmp_path) == []
 
 
+TABLE = [[path, 1.0, 0.0] for path in ("", "0", "1", "0.0", "0.1", "1.0", "1.1")]
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("validate", "invalid"), ("run", "error"), ("oracle", "error")])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: c.update(initial={"wavelets": [["", 0, 1, 0], ["", 0, 2, 0]]}),
+     "initial.wavelets: records 0 and 1 (counted from 0) both name ['', 0]"),
+    # the same value twice: last-one-wins would leave a valid mean-zero field
+    (lambda c: c.update(initial={"leaves": [
+        ["0.0", 1, 0], ["0.1", -1, 0], ["0.0", 1, 0]]}),
+     "initial.leaves: records 0 and 2 (counted from 0) both name ['0.0']"),
+    (lambda c: c["interaction"].update(overrides=[["0", 5, 0], ["0", 7, 0]]),
+     "interaction.overrides: records 0 and 1 (counted from 0) both name ['0']"),
+    (lambda c: c.update(dissipation={"type": "table",
+                                     "entries": TABLE + [["0.1", 2.0, 0.0]]}),
+     "dissipation.entries: records 4 and 7 (counted from 0) both name ['0.1']"),
+], ids=["wavelets", "leaves", "overrides", "entries"])
+def test_cli_refuses_duplicate_records(mutate, message, command, prefix,
+                                       tmp_path, capsys):
+    """A key named twice in one list is an error, not a silent
+    last-one-wins: one line naming the list, both records and the key."""
+    raw = minimal_config()
+    mutate(raw)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(path), *extra]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    line = f"{prefix}: {message}\n"
+    assert (captured.out, captured.err) == (
+        (line, "") if command == "validate" else ("", line))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json"]
+
+
+@pytest.mark.parametrize("overrides", [None, 5, {}, "", {"0": [1, 0]}])
+def test_cli_refuses_overrides_that_are_not_a_list(overrides, tmp_path, capsys):
+    raw = minimal_config()
+    raw["interaction"]["overrides"] = overrides
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "invalid: interaction.overrides must be a list of records\n", "")
+
+
 def test_cli_validate_reports_problem(tmp_path, capsys):
     raw = minimal_config()
     raw["initial"] = {"leaves": [["0.0", 1.0, 0.0]]}
@@ -910,6 +973,28 @@ def test_module_entry_sets_one_blas_thread_unless_the_caller_set_it(
     assert lines[2] == seen
 
 
+def test_module_entry_freezes_the_start_up_heap(scenario_dir):
+    """The module entry hands what numpy and the package made at import
+    to ``gc.freeze``, so the collections at exit skip it."""
+    code = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['ultracascade', 'validate', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('ultracascade', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(scenario_dir / "nested_pair.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("ok:")
+    assert 1_000 <= int(lines[1]) < 1_000_000
+
+
 def test_console_script_shares_the_module_entry(monkeypatch):
     tomllib = pytest.importorskip("tomllib")
     # importing the entry sets a default this process must not keep
@@ -976,7 +1061,7 @@ def test_budgets_admit_the_depth_20_tree_and_bundled_sizes(scenario_dir):
     for path in sorted(scenario_dir.glob("*.json")):
         scen = uc.build_scenario(uc.load_config(path))
         steps = uc.solver.grid_steps(scen.config.t_end, scen.config.dt)
-        uc.solver.check_trajectory_budget(steps, scen.tree.n_leaves)
+        uc.solver.check_trajectory_budget(steps, scen.system.tree.n_leaves)
     # the largest benchmark rungs: p=2 depth 12 at 200 steps, depth 9 at 1000
     uc.solver.check_trajectory_budget(200, 2 ** 12)
     uc.solver.check_trajectory_budget(1000, 2 ** 9)
@@ -1189,7 +1274,7 @@ def test_cli_start_up_imports_nothing_new(tmp_path, scenario_dir):
                            "--out-dir", str(tmp_path))
     allowed = {
         "__future__", "_json", "_locale", "argparse", "copy", "dataclasses",
-        "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+        "gc", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
         "locale", "runpy", "signal",
     }
     new = sorted(m for m in validate - numpy_modules - allowed

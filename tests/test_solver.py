@@ -528,7 +528,7 @@ def test_recurrent_scenario_memory_is_linear_in_the_tree():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scen.basis.n_slots * scen.tree.n_leaves * 16 > 255 << 20
+    assert scen.system.basis.n_slots * scen.system.tree.n_leaves * 16 > 255 << 20
     assert peak < 64 << 20
 
 

@@ -396,9 +396,9 @@ def test_interaction_check_matches_the_one_shot_form_bit_for_bit():
     crosscheck = Path(__file__).resolve().parent / "golden" / "crosscheck_seed7"
     for name in ("p2d6_all", "p4d3_all"):
         scen = uc.build_scenario(uc.load_config(crosscheck / f"{name}.json"))
-        assert scen.basis.n_slots == 63
-        cases.append((scen.basis, [scen.interaction] + [
-            uc.random_kernel(scen.tree, rng) for _ in range(3)]))
+        assert scen.system.basis.n_slots == 63
+        cases.append((scen.system.basis, [scen.system.interaction] + [
+            uc.random_kernel(scen.system.tree, rng) for _ in range(3)]))
     seen = set()
     for basis, kernels in cases:
         seen.add(basis.n_slots)

@@ -250,11 +250,11 @@ def test_build_scenario_on_shorthand_leaves_children_and_labels_unbuilt():
     }
     scen = uc.build_scenario(uc.parse_config(raw))
     for name in ("children", "labels"):
-        assert name not in vars(scen.tree)
+        assert name not in vars(scen.system.tree)
     for name in ("coeffs", "slots", "slot_index", "labels"):
-        assert name not in vars(scen.basis)
+        assert name not in vars(scen.system.basis)
     # first use builds them, equal to the reference
-    assert_same_tree(scen.tree, reference_tree(raw["tree"]))
+    assert_same_tree(scen.system.tree, reference_tree(raw["tree"]))
 
 
 def test_padic_build_memory_at_depth_16():
