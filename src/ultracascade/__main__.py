@@ -1,17 +1,15 @@
 """Entry point of ``python -m ultracascade`` and the ``ultracascade``
-script.
+script: both call ``main``, and importing this module changes nothing.
 
-BLAS runs on one thread unless the caller set ``OPENBLAS_NUM_THREADS``:
-the package's only BLAS calls are small oracle products, and an idle
-OpenBLAS worker thread costs each process CPU time.  The default is set
-before the package loads numpy, which the lazy package ``__init__``
-allows; a plain ``import ultracascade`` leaves the environment alone.
-
-Once the command line is imported, the start-up heap is frozen
-(``gc.freeze``): the collections the interpreter runs at exit then skip
-the objects numpy and the package made at import, about 20 ms of every
-``validate``.  Only this entry module freezes, for both entry points;
-in-process callers import ``ultracascade.cli`` and keep their own
+``main`` runs BLAS on one thread unless the caller set
+``OPENBLAS_NUM_THREADS``: the package's only BLAS calls are small oracle
+products, and an idle OpenBLAS worker thread costs each process CPU
+time.  The default is set before the command line loads numpy, which
+the lazy package ``__init__`` allows.  Once the command line is
+imported, ``main`` freezes the start-up heap (``gc.freeze``): the
+collections the interpreter runs at exit then skip the objects numpy
+and the package made at import, about 20 ms of every ``validate``.
+In-process callers import ``ultracascade.cli`` and keep their own
 collector.  The process still ends by raising ``SystemExit`` (not
 ``os._exit``), so a ``runpy`` caller gets the exit code back.
 """
@@ -19,11 +17,14 @@ collector.  The process still ends by raising ``SystemExit`` (not
 import gc
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cli import main  # noqa: E402  (after the BLAS default)
+def main() -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main as run_command_line
 
-gc.freeze()
+    gc.freeze()
+    return run_command_line()
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -9,11 +9,11 @@ integrates the original integro-differential equation directly on leaf
 values.  All three share one uniform time grid so trajectories compare
 without interpolation.
 
-The coefficient routes read one padded array layout (``CascadeSystem``):
-an rk right-hand side is a gather-sum, O(N * K) for N slots and K
-ancestor wavelets per vertex, and the recurrent route makes bounded
-numpy passes per depth over the vertices that carry a nonzero initial
-slot.  The leaf route evaluates its right-hand side by exact tree
+The coefficient routes read one padded array layout (``CascadeSystem``),
+a column of couplings per slot: an rk right-hand side is a gather-sum,
+O(N * K) for N slots and K ancestor wavelets per ball, and the recurrent
+route makes bounded numpy passes per depth over the slots that start
+nonzero.  The leaf route evaluates its right-hand side by exact tree
 sweeps: O(V) work per subtree-sum pass and O(L * depth) per root-path
 pass, V the vertex and L the leaf count.  The dense O(L^2) quadrature routines of
 ``spectral`` are test oracles only; no solver calls them.
@@ -67,7 +67,7 @@ __all__ = [
 # signals that dt is too coarse for the problem
 STEP_ERROR_TOL = 1e-3
 
-# vertices x time steps that one pass of solve_recurrent solves at once:
+# slots x time steps that one pass of solve_recurrent solves at once:
 # bounds its temporaries to a few times this many complex numbers
 RECURRENT_BLOCK = 1 << 12
 
@@ -99,13 +99,14 @@ class CascadeSystem:
     """Assembled coefficient system: decay rates plus triangular couplings.
 
     Every slot s at an internal vertex v obeys dv_s/dt = -v_s (eta[v] +
-    sum_k weight[k, v] * v[anc_slot[k, v]]).  ``eta`` is the decay rate per
-    vertex (0 on leaves).  ``anc_slot`` and ``weight`` are (K, V) arrays, K
-    the largest number of ancestor wavelets of a vertex; column v lists
-    the slots on strictly larger balls from parent to root, wavelet index
-    ascending, which is the solvers' reduction order.  A weight is the
-    value of the ancestor wavelet on v times the interaction coefficient
-    of the pair.  Padding entries hold slot 0 and weight 0.
+    sum_k weight[k, s] * v[anc_slot[k, s]]).  ``eta`` is the decay rate per
+    vertex (0 on leaves).  ``anc_slot`` and ``weight`` are C-contiguous
+    (K, N) arrays, K the largest number of ancestor wavelets of a ball;
+    column s lists the slots on strictly larger balls than v from parent
+    to root, wavelet index ascending (the solvers' reduction order), so
+    all slots of v hold equal columns.  A weight is the value of the
+    ancestor wavelet on v times the interaction coefficient of the pair.
+    Padding holds slot 0 and weight 0.  ``n_couplings`` counts per ball.
     """
 
     tree: BallTree
@@ -130,7 +131,8 @@ class CascadeSystem:
 
     @property
     def n_couplings(self) -> int:
-        return int(np.count_nonzero(self.weight))
+        first = self.basis.slot_wavelet == 0
+        return int(np.count_nonzero(self.weight, axis=0)[first].sum())
 
 
 def assemble(
@@ -144,8 +146,9 @@ def assemble(
     Decay rates come from ``eigenvalue_table`` of the dissipation kernel.
     The weights pair the root-path coefficients of ``interaction_table``
     with the value of each ancestor wavelet on the child toward the
-    vertex, all gathered at once along ``tree.root_path_table()``.  A constant
-    interaction kernel gives all-zero weights: no couplings at all.
+    ball, all gathered at once along ``tree.root_path_table()`` into one
+    column per internal ball, which every slot of the ball then copies.
+    A constant interaction kernel gives all-zero weights: no couplings.
     """
     check_same_tree(tree, interaction, dissipation, basis,
                     message="kernels and basis must live on the system's tree")
@@ -163,17 +166,17 @@ def assemble(
     slot = np.searchsorted(basis.slot_vertex, anc[row, pos]) + j
     # a wavelet is constant on the child toward v: its row's entry there
     value = basis.slot_coeffs[slot, tree.child_slot[paths[row, pos]]]
-    cols = internal[row]
-    coeff = interaction_table(interaction)[cols, pos]
+    coeff = interaction_table(interaction)[internal[row], pos]
     k = np.arange(len(row)) - np.searchsorted(row, row)
-    shape = (int(np.bincount(row, minlength=1).max()), tree.n_vertices)
+    shape = (int(np.bincount(row, minlength=1).max()), len(internal))
     anc_slot = np.zeros(shape, dtype=np.intp)
     weight = np.zeros(shape, dtype=np.complex128)
-    anc_slot[k, cols] = slot
-    weight[k, cols] = complex_products(value, coeff)
-    return CascadeSystem(
-        tree, basis, interaction, dissipation, eta, anc_slot, weight
-    )
+    anc_slot[k, row] = slot
+    weight[k, row] = complex_products(value, coeff)
+    # take, unlike [:, ball], keeps the (K, N) columns C-contiguous
+    ball = np.searchsorted(internal, basis.slot_vertex)
+    return CascadeSystem(tree, basis, interaction, dissipation, eta,
+                         anc_slot.take(ball, axis=1), weight.take(ball, axis=1))
 
 
 def complex_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -294,53 +297,43 @@ def solve_recurrent(
     is taken by cumulative trapezoid on the shared grid, making this
     solver second-order in dt when couplings are active and exact (up to
     rounding) when they are not.  Slots that start at zero stay exactly
-    zero, so each depth is solved by numpy passes over only the vertices
-    that carry a nonzero initial slot, at most ``RECURRENT_BLOCK``
-    vertex-steps per pass: the temporaries stay bounded, and every value
-    is the one a single pass per depth would give.  A pass that leaves a
-    slot above ``BLOWUP_LIMIT``, or not finite, aborts the run unwarned.
+    zero, so each depth is solved by numpy passes over only the slots
+    that start nonzero, at most ``RECURRENT_BLOCK`` slot-steps per pass:
+    the temporaries stay bounded, and every value is the one a single
+    pass per depth would give.  A pass that leaves a slot above
+    ``BLOWUP_LIMIT``, or not finite, aborts the run unwarned.
     """
     grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
-    tree, basis = system.tree, system.basis
-    vertex = basis.slot_vertex
+    vertex = system.basis.slot_vertex
     values = np.zeros((len(grid), system.n_slots), dtype=np.complex128)
     live = np.flatnonzero(v0vec)
-    live_depth = tree.depth[vertex[live]]
+    live_depth = system.tree.depth[vertex[live]]
     per_pass = max(1, RECURRENT_BLOCK // len(grid))
     # overflow and nan are not warned about: the magnitude test aborts
     with np.errstate(over="ignore", invalid="ignore"):
         for d in np.flatnonzero(np.bincount(live_depth)):
-            slots = live[live_depth == d]
-            verts, first, col = np.unique(
-                vertex[slots], return_index=True, return_inverse=True
-            )
-            # slots run in vertex order, so verts[lo:hi] own the slots
-            # slots[first[lo]:first[hi]]
-            first = np.append(first, len(slots))
-            for lo in range(0, len(verts), per_pass):
-                hi = min(lo + per_pass, len(verts))
-                block, part = verts[lo:hi], slice(first[lo], first[hi])
-                drive = np.zeros((len(grid), len(block)), dtype=np.complex128)
-                for anc, w in zip(system.anc_slot[:, block],
-                                  system.weight[:, block]):
+            at_depth = live[live_depth == d]
+            for lo in range(0, len(at_depth), per_pass):
+                slots = at_depth[lo:lo + per_pass]
+                drive = np.zeros((len(grid), len(slots)), dtype=np.complex128)
+                for anc, w in zip(system.anc_slot[:, slots],
+                                  system.weight[:, slots]):
                     drive += w * values[:, anc]
-                integral = np.concatenate((np.zeros((1, len(block))), np.cumsum(
+                integral = np.concatenate((np.zeros((1, len(slots))), np.cumsum(
                     float(dt) * (drive[1:] + drive[:-1]) / 2.0, axis=0
                 )), axis=0)
-                factor = np.exp(-system.eta[block] * grid[:, None] - integral)
-                values[:, slots[part]] = solved = (
-                    v0vec[slots[part]] * factor[:, col[part] - lo]
-                )
+                factor = np.exp(-system.eta[vertex[slots]] * grid[:, None] - integral)
+                values[:, slots] = solved = v0vec[slots] * factor
                 # nan fails every comparison: written so that it aborts too
                 blown = ~(np.abs(solved).max(axis=0) <= BLOWUP_LIMIT)
                 if blown.any():
                     raise SolverAbort(
                         f"coefficient magnitude exceeded {BLOWUP_LIMIT:.0e} or was not "
-                        f"finite at slot {basis.labels[slots[part][blown.argmax()]]!r}"
+                        f"finite at slot {system.labels[slots[blown.argmax()]]!r}"
                     )
     return coefficient_trajectory(
-        basis, grid, values, _metadata("recurrent", t_end, dt)
+        system.basis, grid, values, _metadata("recurrent", t_end, dt)
     )
 
 
@@ -440,11 +433,10 @@ def _integrate(
 
 
 def _coefficient_rhs(system: CascadeSystem) -> Callable:
-    """dv/dt on one slot vector: a (K, N) gather-sum, O(N * K)."""
-    vertex = system.basis.slot_vertex
-    eta = system.eta[vertex]
-    anc_slot = np.ascontiguousarray(system.anc_slot[:, vertex])
-    weight = np.ascontiguousarray(system.weight[:, vertex])
+    """dv/dt on one slot vector: a gather-sum over the system's own
+    (K, N) arrays, O(N * K)."""
+    eta = system.eta[system.basis.slot_vertex]
+    anc_slot, weight = system.anc_slot, system.weight
 
     def rhs(y: np.ndarray) -> np.ndarray:
         drive = y.take(anc_slot)

@@ -133,13 +133,12 @@ def chain_closed_form(eta, weights, v0, grid, terms=80):
 
 
 def dense_coupling_matrix(system: uc.CascadeSystem) -> np.ndarray:
-    """Dense (slot, slot) weight matrix W built from the padded arrays, so
-    that the coefficient right-hand side is -v * (eta + W @ v).  Padding
-    entries add an exact 0."""
-    vertex = system.basis.slot_vertex
+    """Dense (slot, slot) weight matrix W built from the padded per-slot
+    columns, so that the coefficient right-hand side is -v * (eta + W @ v).
+    Padding entries add an exact 0."""
     W = np.zeros((system.n_slots, system.n_slots), dtype=np.complex128)
     rows = np.arange(system.n_slots)
-    for anc, w in zip(system.anc_slot[:, vertex], system.weight[:, vertex]):
+    for anc, w in zip(system.anc_slot, system.weight):
         np.add.at(W, (rows, anc), w)
     return W
 

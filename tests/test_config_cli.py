@@ -995,15 +995,38 @@ def test_module_entry_freezes_the_start_up_heap(scenario_dir):
     assert 1_000 <= int(lines[1]) < 1_000_000
 
 
-def test_console_script_shares_the_module_entry(monkeypatch):
+def test_console_script_shares_the_module_entry():
     tomllib = pytest.importorskip("tomllib")
-    # importing the entry sets a default this process must not keep
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     project = tomllib.loads(
         (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
     module, _, name = project["project"]["scripts"]["ultracascade"].partition(":")
     assert module == "ultracascade.__main__"
-    assert getattr(importlib.import_module(module), name) is cli.main
+    # the function ``python -m ultracascade`` calls, defined in that module
+    assert getattr(importlib.import_module(module), name).__module__ == module
+
+
+def test_importing_the_entry_module_changes_nothing(scenario_dir):
+    """A plain import of ``ultracascade.__main__`` neither freezes the
+    caller's heap nor sets the BLAS default; its ``main``, which the
+    console script calls, does both and then runs the command line."""
+    code = (
+        "import gc, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import ultracascade.__main__ as entry\n"
+        "print(gc.get_freeze_count(), dict(os.environ) == before)\n"
+        "sys.argv = ['ultracascade', 'validate', sys.argv[1]]\n"
+        "code = entry.main()\n"
+        "print(code, gc.get_freeze_count() > 0, os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(scenario_dir / "nested_pair.json")],
+        capture_output=True, text=True, env=without_blas_threads(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0 True"
+    assert lines[1].startswith("ok:")
+    assert lines[2] == "0 True 1"
 
 
 def test_trajectory_csv_values_round_trip_bitwise(tmp_path):
@@ -1251,6 +1274,48 @@ def test_cli_validate_out_of_address_space_exits_2_in_one_line(tmp_path,
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_cli_run_and_oracle_out_of_address_space_exit_2_in_one_line(
+    tmp_path, scenario_dir, command
+):
+    """``run`` into a fresh out-dir and ``oracle``, on a depth-20 tree in a
+    child capped as in the ``validate`` test above: one ``error:`` line
+    and exit 2, and no output, temp or part file."""
+    resource = pytest.importorskip("resource")
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status to size the cap")
+    env = without_blas_threads(OPENBLAS_NUM_THREADS="1")
+    idle = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom ultracascade import cli\n"
+         "assert cli.main(['validate', sys.argv[1]]) == 0\n"
+         "print(open('/proc/self/status').read())",
+         str(scenario_dir / "nested_pair.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert idle.returncode == 0, idle.stderr
+    peak_kb = next(int(line.split()[1]) for line in idle.stdout.splitlines()
+                   if line.startswith("VmPeak:"))
+    cap = peak_kb * 1024 + 256 * 2 ** 20
+    # one step: the trajectory is inside its budget, so setup is what fails
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(minimal_config(), tree={"p": 2, "depth": 20},
+                                    t_end=0.01)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    args = [command, str(path)] + (["--out-dir", str(out_dir)] if command == "run" else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", *args],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["deep.json"]
 
 
 def imported_modules(*args: str) -> set[str]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ultracascade as uc
-from ultracascade import oracles
+from ultracascade import oracles, solver
 from ultracascade.solver import (
     STEP_ERROR_TOL,
     _coefficient_rhs,
@@ -89,6 +89,19 @@ def test_assemble_depth_one_decay_rate():
     assert system.eta[tree.root] == (3.0 + 1.0j) * 1.0
 
 
+def _pairwise_column(basis, interaction, v):
+    """Ball v's couplings by the scalar formulas: (slot, weight) pairs
+    from parent to root, wavelet index ascending."""
+    tree = basis.tree
+    column = []
+    for anc in oracles.ancestors(tree, v):
+        coeff = uc.interaction_coefficient(interaction, anc, v)
+        for jp in range(tree.n_children(anc) - 1):
+            w = uc.ancestor_value(basis, anc, jp, v) * coeff
+            column.append((basis.slot_index[(anc, jp)], w))
+    return column
+
+
 def test_assemble_couplings_match_pairwise_formula():
     rng = np.random.default_rng(223)
     branchings = set()
@@ -102,18 +115,12 @@ def test_assemble_couplings_match_pairwise_formula():
             tree, basis, interaction, dissipative_kernel(tree, rng)
         )
         width = system.weight.shape[0]
-        for v in range(tree.n_vertices):
-            expected = []
-            if tree.is_internal(v):
-                branchings.add(tree.n_children(v))
-                for anc in oracles.ancestors(tree, v):
-                    coeff = uc.interaction_coefficient(interaction, anc, v)
-                    for jp in range(tree.n_children(anc) - 1):
-                        w = uc.ancestor_value(basis, anc, jp, v) * coeff
-                        expected.append((basis.slot_index[(anc, jp)], w))
+        for s, (v, _) in enumerate(basis.slots):
+            branchings.add(tree.n_children(v))
+            expected = _pairwise_column(basis, interaction, v)
             pad = [(0, 0j)] * (width - len(expected))
-            got = list(zip(system.anc_slot[:, v].tolist(),
-                           system.weight[:, v].tolist()))
+            got = list(zip(system.anc_slot[:, s].tolist(),
+                           system.weight[:, s].tolist()))
             # bit for bit, signed zeros included
             assert [s for s, _ in got] == [s for s, _ in expected + pad]
             assert np.array_equal(
@@ -123,6 +130,53 @@ def test_assemble_couplings_match_pairwise_formula():
             )
     # mixed branching exercises padding of different widths
     assert branchings == {2, 3, 4}
+
+
+def test_assemble_lays_each_balls_column_on_every_slot():
+    """Branching 2..13 on both bases, with non-uniform measures where the
+    basis allows them: the (K, N) arrays are C-contiguous, every slot's
+    column is its ball's pairwise-formula list bit for bit (signed zeros
+    included), so all slots of a ball hold equal columns, and
+    ``n_couplings`` counts the nonzero scalar weights once per ball."""
+    rng = np.random.default_rng(229)
+    branchings = set()
+    for i in range(12):
+        tree = uc.random_tree(rng, max_leaves=150, max_branch=13, max_depth=4,
+                              equal_split=bool(i % 2))
+        basis = uc.build_basis(tree, ("gram-schmidt", "roots-of-unity")[i % 2])
+        interaction = uc.random_kernel(tree, rng)
+        system = uc.assemble(tree, basis, interaction, dissipative_kernel(tree, rng))
+        width = system.weight.shape[0]
+        assert system.anc_slot.shape == (width, basis.n_slots)
+        assert system.anc_slot.flags.c_contiguous and system.weight.flags.c_contiguous
+        per_ball = 0
+        for v in tree.internal.tolist():
+            branchings.add(tree.n_children(v))
+            column = _pairwise_column(basis, interaction, v)
+            per_ball += sum(w != 0 for _, w in column)
+            column += [(0, 0j)] * (width - len(column))
+            want_slot = [s for s, _ in column]
+            want_weight = np.array([w for _, w in column], dtype=complex)
+            for j in range(tree.n_children(v) - 1):
+                s = basis.slot_index[(v, j)]
+                assert system.anc_slot[:, s].tolist() == want_slot
+                assert system.weight[:, s].tobytes() == want_weight.tobytes()
+        assert system.n_couplings == per_ball
+    assert branchings == set(range(2, 14))
+
+
+def test_coefficient_rhs_gathers_over_the_systems_own_arrays():
+    """rk's right-hand side holds ``system.anc_slot`` and
+    ``system.weight`` themselves, not a re-laid copy of them."""
+    rng = np.random.default_rng(241)
+    tree = uc.random_tree(rng, max_leaves=60, max_branch=6)
+    basis = uc.build_basis(tree)
+    system = uc.assemble(tree, basis, uc.random_kernel(tree, rng),
+                         dissipative_kernel(tree, rng))
+    held = [cell.cell_contents for cell in _coefficient_rhs(system).__closure__]
+    held = [a for a in held if isinstance(a, np.ndarray)]
+    assert any(np.shares_memory(a, system.anc_slot) for a in held)
+    assert any(np.shares_memory(a, system.weight) for a in held)
 
 
 def test_coupling_matrix_is_triangular_in_depth():
@@ -163,13 +217,14 @@ def test_recurrent_single_mode_is_exact_exponential():
 
 def _per_vertex_recurrent(system, v0, t_end, dt):
     """Reference: the integrating-factor recursion one vertex at a time, in
-    preorder, with scalar weights."""
+    preorder, with scalar weights read from each ball's first slot."""
     grid = uc.time_grid(t_end, dt)
     v0vec = v0.dense()
     values = np.zeros((len(grid), system.n_slots), dtype=complex)
     for v in system.tree.internal:
         drive = np.zeros(len(grid), dtype=complex)
-        for a, w in zip(system.anc_slot[:, v], system.weight[:, v]):
+        first = system.basis.slot_index[(int(v), 0)]
+        for a, w in zip(system.anc_slot[:, first], system.weight[:, first]):
             drive += complex(w) * values[:, a]
         integral = np.concatenate(
             ([0j], np.cumsum(float(dt) * (drive[1:] + drive[:-1]) / 2.0))
@@ -699,3 +754,22 @@ def test_recurrent_aborts_on_a_nan_weight(scenario_dir):
     system = dataclasses.replace(scen.system, weight=weight)
     with pytest.raises(uc.SolverAbort, match=r"or was not finite at slot '0:0'"):
         uc.solve_recurrent(system, scen.v0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("per_pass", [1, 2, 6])
+def test_recurrent_aborts_on_a_nan_weight_of_one_slot(monkeypatch, per_pass):
+    """On a p = 3 tree a nan in the column of ball 1's second slot aborts
+    the recurrent route naming that slot, not its ball's first, whether a
+    pass holds one slot, the ball's two or the whole depth."""
+    tree = uc.build_tree({"p": 3, "depth": 2})
+    basis = uc.build_basis(tree)
+    rng = np.random.default_rng(239)
+    system = uc.assemble(tree, basis, uc.random_kernel(tree, rng, max_abs=0.8),
+                         dissipative_kernel(tree, rng))
+    weight = system.weight.copy()
+    weight[0, basis.slot_index[(tree.vertex("1"), 1)]] = np.nan
+    v0 = uc.WaveletField(basis, {slot: 0.5 for slot in basis.slots})
+    # a grid of 11 times
+    monkeypatch.setattr(solver, "RECURRENT_BLOCK", 11 * per_pass)
+    with pytest.raises(uc.SolverAbort, match=r"or was not finite at slot '1:1'"):
+        uc.solve_recurrent(dataclasses.replace(system, weight=weight), v0, 0.1, 1e-2)

@@ -32,10 +32,9 @@ def _random_trees(seed: int, count: int):
 def _one_row_gather_sum(system, y):
     """The coefficient right-hand side on one slot vector, written out as
     a plain (K, N) gather-sum."""
-    vertex = system.basis.slot_vertex
-    drive = y.take(np.ascontiguousarray(system.anc_slot[:, vertex]))
-    drive *= np.ascontiguousarray(system.weight[:, vertex])
-    return -y * (system.eta[vertex] + drive.sum(axis=0))
+    drive = y.take(system.anc_slot)
+    drive *= system.weight
+    return -y * (system.eta[system.basis.slot_vertex] + drive.sum(axis=0))
 
 
 def _one_row_leaf_sweep(tree, interaction, dissipation, f):
