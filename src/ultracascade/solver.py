@@ -9,23 +9,14 @@ integrates the original integro-differential equation directly on leaf
 values.  All three share one uniform time grid so trajectories compare
 without interpolation.
 
-The coefficient routes read one padded array layout (``CascadeSystem``),
-a column of couplings per slot: an rk right-hand side is a gather-sum,
-O(N * K) for N slots and K ancestor wavelets per ball, and the recurrent
-route makes bounded numpy passes per depth over the slots that start
-nonzero.  The leaf route evaluates its right-hand side by exact tree
-sweeps: O(V) work per subtree-sum pass and O(L * depth) per root-path
-pass, V the vertex and L the leaf count.  The dense O(L^2) quadrature routines of
-``spectral`` are test oracles only; no solver calls them.
+The coefficient routes read one padded layout of couplings per slot
+(``CascadeSystem``): an rk right-hand side is an O(N * K) gather-sum, and
+the recurrent route makes bounded passes per depth over the slots that
+start nonzero.  The leaf route sweeps the tree, O(V + L * depth) per
+right-hand side.  No route calls the dense quadratures of ``spectral``.
 
 The rk and leaf routes share one RK4 march with a step-pair error
-gauge: every pair of steps is retaken as one double step, so a step
-costs 5.5 right-hand-side row evaluations.  rk makes them one row per
-call.  The leaf route, on up to ``STAGE_BLOCK`` / 2 leaves, stacks them
-into 4 calls per step, each row bit-identical to a call of its own.
-A run aborts when a pair's error estimate exceeds
-``STEP_ERROR_TOL`` times max(1, |y|), the mixed absolute and relative
-norm.
+gauge (``_integrate``).
 """
 
 from __future__ import annotations
@@ -35,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import Kernel, eigenvalue_table, interaction_table
+from .spectral import Kernel, coupling_levels, eigenvalue_table
 from .tree import BallTree, check_same_tree
 from .wavelets import LeafField, WaveletBasis, WaveletField, analyze, synthesize
 
@@ -144,39 +135,40 @@ def assemble(
     """Build the coefficient system for a tree, basis, and kernel pair.
 
     Decay rates come from ``eigenvalue_table`` of the dissipation kernel.
-    The weights pair the root-path coefficients of ``interaction_table``
-    with the value of each ancestor wavelet on the child toward the
-    ball, all gathered at once along ``tree.root_path_table()`` into one
-    column per internal ball, which every slot of the ball then copies.
-    A constant interaction kernel gives all-zero weights: no couplings.
+    The weights walk up every internal ball's root path with
+    ``coupling_levels``, each level appending its ancestor's wavelets to
+    the ball's column, which its slots then copy: O(V) numbers besides
+    the output.  A constant interaction kernel gives no couplings.
     """
     check_same_tree(tree, interaction, dissipation, basis,
                     message="kernels and basis must live on the system's tree")
     internal = tree.internal
     eta = eigenvalue_table(dissipation)
-    paths = tree.root_path_table()[internal]
-    anc = tree.up[paths]
     n_wavelets = np.bincount(basis.slot_vertex, minlength=tree.n_vertices)
-    # entries (row, path position, wavelet index) in C order follow the
-    # reduction order: parent to root, then wavelet index ascending
-    row, pos, j = np.nonzero(
-        (np.arange(paths.shape[1]) < tree.depth[internal][:, None])[:, :, None]
-        & (np.arange(n_wavelets.max()) < n_wavelets[anc][:, :, None])
-    )
-    slot = np.searchsorted(basis.slot_vertex, anc[row, pos]) + j
-    # a wavelet is constant on the child toward v: its row's entry there
-    value = basis.slot_coeffs[slot, tree.child_slot[paths[row, pos]]]
-    coeff = interaction_table(interaction)[internal[row], pos]
-    k = np.arange(len(row)) - np.searchsorted(row, row)
-    shape = (int(np.bincount(row, minlength=1).max()), len(internal))
+    first = np.cumsum(n_wavelets) - n_wavelets  # slot of wavelet 0 of a ball
+    above = tree.path_sums(n_wavelets)[internal] - n_wavelets[internal]
+    shape = (int(above.max(initial=0)), len(internal))
     anc_slot = np.zeros(shape, dtype=np.intp)
     weight = np.zeros(shape, dtype=np.complex128)
-    anc_slot[k, row] = slot
-    weight[k, row] = complex_products(value, coeff)
-    # take, unlike [:, ball], keeps the (K, N) columns C-contiguous
+    # rows filled per ball; levels run parent to root and wavelet index
+    # ascends within one, the solvers' reduction order
+    count = np.zeros(len(internal), dtype=np.intp)
+    for cur, up, coeff in coupling_levels(interaction, internal):
+        n = np.where(cur > 0, n_wavelets[up], 0)
+        for j in range(n.max()):
+            col = np.flatnonzero(n > j)
+            slot = first[up[col]] + j
+            # a wavelet is constant on the child toward v: its row's entry there
+            value = basis.slot_coeffs[slot, tree.child_slot[cur[col]]]
+            anc_slot[count[col] + j, col] = slot
+            weight[count[col] + j, col] = complex_products(value, coeff[col])
+        count += n
+    # take, unlike [:, ball], keeps the (K, N) columns C-contiguous; one at
+    # a time, so each ball-column array goes before the next is copied
     ball = np.searchsorted(internal, basis.slot_vertex)
-    return CascadeSystem(tree, basis, interaction, dissipation, eta,
-                         anc_slot.take(ball, axis=1), weight.take(ball, axis=1))
+    anc_slot = anc_slot.take(ball, axis=1)
+    weight = weight.take(ball, axis=1)
+    return CascadeSystem(tree, basis, interaction, dissipation, eta, anc_slot, weight)
 
 
 def complex_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,8 +292,9 @@ def solve_recurrent(
     zero, so each depth is solved by numpy passes over only the slots
     that start nonzero, at most ``RECURRENT_BLOCK`` slot-steps per pass:
     the temporaries stay bounded, and every value is the one a single
-    pass per depth would give.  A pass that leaves a slot above
-    ``BLOWUP_LIMIT``, or not finite, aborts the run unwarned.
+    pass per depth would give.  A pass takes a ball's drive and factor
+    once, for all its slots (``_run_heads``).  A pass that leaves a slot
+    above ``BLOWUP_LIMIT``, or not finite, aborts the run unwarned.
     """
     grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
@@ -316,14 +309,17 @@ def solve_recurrent(
             at_depth = live[live_depth == d]
             for lo in range(0, len(at_depth), per_pass):
                 slots = at_depth[lo:lo + per_pass]
-                drive = np.zeros((len(grid), len(slots)), dtype=np.complex128)
-                for anc, w in zip(system.anc_slot[:, slots],
-                                  system.weight[:, slots]):
+                first = _run_heads(system, slots)
+                heads = slots[first]
+                drive = np.zeros((len(grid), len(heads)), dtype=np.complex128)
+                for anc, w in zip(system.anc_slot[:, heads], system.weight[:, heads]):
                     drive += w * values[:, anc]
-                integral = np.concatenate((np.zeros((1, len(slots))), np.cumsum(
+                integral = np.concatenate((np.zeros((1, len(heads))), np.cumsum(
                     float(dt) * (drive[1:] + drive[:-1]) / 2.0, axis=0
                 )), axis=0)
-                factor = np.exp(-system.eta[vertex[slots]] * grid[:, None] - integral)
+                factor = np.exp(-system.eta[vertex[heads]] * grid[:, None] - integral)
+                if len(heads) < len(slots):
+                    factor = factor[:, np.cumsum(first) - 1]
                 values[:, slots] = solved = v0vec[slots] * factor
                 # nan fails every comparison: written so that it aborts too
                 blown = ~(np.abs(solved).max(axis=0) <= BLOWUP_LIMIT)
@@ -335,6 +331,20 @@ def solve_recurrent(
     return coefficient_trajectory(
         system.basis, grid, values, _metadata("recurrent", t_end, dt)
     )
+
+
+def _run_heads(system: CascadeSystem, slots: np.ndarray) -> np.ndarray:
+    """Mask of the ``slots`` that start a run of one ball's slots with
+    bit-equal columns, as assembled balls have: a run shares one drive."""
+    vertex = system.basis.slot_vertex
+    heads = np.ones(len(slots), dtype=bool)
+    pair = np.flatnonzero(vertex[slots[1:]] == vertex[slots[:-1]])
+    if len(pair):
+        a, b = slots[pair], slots[pair + 1]
+        bits = system.weight.view(np.uint64).reshape(*system.weight.shape, 2)
+        heads[pair + 1] = ((system.anc_slot[:, a] != system.anc_slot[:, b]).any(axis=0)
+                           | (bits[:, a] != bits[:, b]).any(axis=(0, 2)))
+    return heads
 
 
 def _rk4_rows(
@@ -356,29 +366,22 @@ def _integrate(
 ) -> tuple[np.ndarray, float]:
     """Classical one-step 4th-order march with a step-pair error gauge.
 
-    Steps are kept two at a time.  Each pair of steps of h is retaken as
-    one step of 2h from the same start, which shares the first step's
-    first stage: 11 right-hand-side row evaluations per pair, 5.5 per
-    step.  For a fourth-order method ``|y_2h - y_hh| / 15`` is the
-    Richardson estimate of the error of the kept pair itself (Hairer,
-    Norsett and Wanner, Solving ODEs I, II.4).  An odd step count takes
-    its last step alone, retaken as two half steps that share its first
-    stage: ``|y_full - y_half| / 15`` then estimates the error of the half
-    steps, not of the kept step.  The largest estimate is returned, and an
-    estimate above ``STEP_ERROR_TOL * max(1, |y|)``, y the kept value at
-    the end of the pair in the max norm, aborts the run: an absolute bound
-    for small solutions and a relative one for large ones.
+    Each pair of steps of h is retaken as one step of 2h from the same
+    start, sharing the first stage: 11 right-hand-side rows per pair.
+    ``|y_2h - y_hh| / 15`` is the Richardson estimate of the kept pair's
+    error (Hairer, Norsett and Wanner, Solving ODEs I, II.4).  An odd
+    step count retakes its last step as two half steps, whose error the
+    estimate then is.  The largest estimate is returned; one above
+    ``STEP_ERROR_TOL * max(1, |y|)``, y the kept end value in the max
+    norm (absolute for small solutions, relative for large), aborts the
+    run, as does a value that overflows or is not finite.
 
-    ``rhs`` takes a vector.  ``stacked`` says that it also takes (m, n)
-    stacks of rows.  The 2h step, or the first half step, needs only the
-    shared first stage, so a stacked march sends its three stages as the
-    second row of the first step's three calls: 8 calls per pair, 4 per
-    step.  Otherwise the 11 evaluations go one row per call.  Every row
-    repeats a one-row step's operations in its order, so values,
-    estimates and aborts are the same bit for bit either way, and a pair
-    is checked (non-finite values, gauge, magnitude) before
-    anything of the next pair is kept.  Overflow is not warned about: a
-    step that leaves the finite range aborts.
+    ``rhs`` takes a vector; ``stacked`` says it also takes (m, n) stacks
+    of rows.  The 2h (or half) step's stages then ride as the second row
+    of the first step's calls: 4 calls per step instead of 5.5 one-row
+    calls.  Each row repeats a one-row step's operations in order, so
+    values, estimates and aborts are bit-identical either way, and a
+    pair is checked before anything of the next pair is kept.
     """
     values = np.empty((len(grid), len(y0)), dtype=np.complex128)
     values[0] = y0

@@ -9,20 +9,17 @@ quantities drive the dynamics:
 * the coefficient coupling a wavelet to one on a strictly smaller ball
   (``interaction_coefficient``).
 
-Both have closed forms as finite sums over the ancestor chain.  The module
-also ships two direct evaluators, ``apply_pdo_direct`` and
-``interaction_integral_direct``, which compute the underlying integrals as
-literal sums over leaf cells with no use of the closed forms; tests compare
-the two routes everywhere.  They build O(L^2) and O(V * L) tables and are
-oracles only: each first asks ``oracles.dense_check_refusal`` whether
-the tree fits, and raises its reason if not.  The leaf solver evaluates
-the same integrals by tree sweeps (``solver.leaf_rhs``), O(V) per subtree
-sum and O(L * depth) per root-path sum, which tests compare against them.
+Both are finite sums over the ancestor chain, which the tables walk up
+one level at a time.  The direct evaluators ``apply_pdo_direct`` and
+``interaction_integral_direct`` compute the underlying integrals as
+literal leaf-cell sums, with no closed form, for tests to compare.  They
+build O(L^2) and O(V * L) tables and are oracles only: each first asks
+``oracles.dense_check_refusal`` whether the tree fits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,23 +132,18 @@ def eigenvalue(kernel: Kernel, I: int) -> complex:
 
 
 def eigenvalue_table(kernel: Kernel) -> np.ndarray:
-    """``eigenvalue`` at every internal ball at once, 0 on leaves.
-
-    One pass along ``tree.root_path_table()``: row v starts with value(v)
-    nu(v) and adds the ancestor terms in the order of the scalar loop,
-    parent to root, so a running sum read at column depth(v) matches
-    ``eigenvalue`` bit for bit.  Padding terms come after that column and
-    never reach it.
-    """
+    """``eigenvalue`` at every internal ball at once, 0 on leaves: a walk
+    up every ball's ancestor chain a level at a time, adding terms in the
+    scalar loop's order, bit-equal to ``eigenvalue``, in O(V) memory."""
     tree = kernel.tree
-    paths = tree.root_path_table()
-    up = tree.up[paths]
-    v = kernel.values
-    terms = np.empty((tree.n_vertices, paths.shape[1] + 1), dtype=np.complex128)
-    terms[:, 0] = v * tree.measure
-    terms[:, 1:] = v[up] * (tree.measure[up] - tree.measure[paths])
-    table = np.cumsum(terms, axis=1)[np.arange(tree.n_vertices), tree.depth]
-    table[tree.leaves] = 0
+    v, nu = kernel.values, tree.measure
+    cur, total = tree.internal, v[tree.internal] * nu[tree.internal]
+    while cur.any():
+        up = tree.up[cur]
+        np.add(total, v[up] * (nu[up] - nu[cur]), out=total, where=cur > 0)
+        cur = up
+    table = np.zeros(tree.n_vertices, dtype=np.complex128)
+    table[tree.internal] = total
     return table
 
 
@@ -178,27 +170,36 @@ def interaction_coefficient(kernel: Kernel, outer: int, inner: int) -> complex:
     return complex(total) if cur == outer else 0j
 
 
+def coupling_levels(kernel: Kernel, rows: np.ndarray) -> Iterator[tuple]:
+    """Walk up the root paths of ``rows`` one level at a time, yielding
+    ``(cur, up, total)``: every row's path vertex at the level (the row
+    first), its parent, and the row's coupling with that parent, summed
+    in ``interaction_coefficient``'s order, bit for bit, and updated in
+    place by the next level.  Rows whose ``cur`` is the root are done."""
+    tree = kernel.tree
+    v, nu = kernel.values, tree.measure
+    cur, total = rows, np.zeros(len(rows), dtype=np.complex128)
+    while cur.any():
+        up = tree.up[cur]
+        # float_power is libm pow, as the scalar ``** 2`` above; on arrays
+        # ``** 2`` is x * x, which can differ in the last bit
+        total += np.float_power(nu[cur], 2) * (v[up] - v[cur])
+        yield cur, up, total
+        cur = up
+
+
 def interaction_table(kernel: Kernel) -> np.ndarray:
     """Coupling coefficients of every vertex with each strict ancestor.
 
-    (V, D), aligned with ``tree.root_path_table()``: entry [v, j] couples
-    v with the parent of path vertex [v, j]; entries with j >= depth(v)
-    are padding and hold 0.  Rows are cumulative sums up the root path in
-    the order of ``interaction_coefficient``, so entries match it bit for
-    bit.
+    (V, D): entry [v, j] couples v with its ancestor j + 1 levels up, 0
+    for j >= depth(v); column j is level j of ``coupling_levels``, so
+    entries match ``interaction_coefficient`` bit for bit.  Column-major:
+    each level writes one contiguous column.
     """
-    tree = kernel.tree
-    paths = tree.root_path_table()
-    up = tree.up[paths]
-    # float_power is libm pow, as the scalar ``** 2`` above; on arrays
-    # ``** 2`` is x * x, which can differ in the last bit
-    terms = np.float_power(tree.measure[paths], 2) * (
-        kernel.values[up] - kernel.values[paths]
-    )
-    # summed from 0j like the scalar loop, which turns a -0 into +0
-    zero = np.zeros((tree.n_vertices, 1))
-    table = np.cumsum(np.hstack((zero, terms)), axis=1)[:, 1:]
-    table[np.arange(paths.shape[1]) >= tree.depth[:, None]] = 0
+    n = kernel.tree.n_vertices
+    table = np.zeros((int(kernel.tree.depth.max()), n), dtype=np.complex128).T
+    for j, (cur, _, total) in enumerate(coupling_levels(kernel, np.arange(n))):
+        np.copyto(table[:, j], total, where=cur > 0)
     return table
 
 

@@ -335,16 +335,14 @@ class BallTree:
             by_vertex[verts] += by_vertex[parent]
         return acc
 
-    # -- root-path table (the leaf-route sweeps and the coefficient layout) --
+    # -- root-path table (the leaf-route sweeps and the interaction check) --
 
     def root_path_table(self) -> np.ndarray:
         """(V, D) array, D the largest depth: row v lists v and its strict
-        ancestors below the root, from v upward, padded with 0.
-
-        The root never appears on a row, so ``x[table].sum(1)`` sums a
-        per-vertex quantity along each root path whenever ``x[0] == 0``.
-        Built afresh on each call, in O(V * D), so no tree keeps one alive.
-        """
+        ancestors below the root, from v upward, padded with 0, so
+        ``x[table].sum(1)`` sums x along every root path when x[0] == 0.
+        Built afresh, in O(V * D), for the small trees where a whole table
+        pays; setup walks the paths a level at a time instead."""
         cur = np.arange(self.n_vertices, dtype=np.intp)
         paths = np.zeros((self.n_vertices, int(self.depth.max())), dtype=np.intp)
         for j in range(paths.shape[1]):

@@ -171,6 +171,67 @@ def one_shot_interaction_check(kernel: uc.Kernel,
     return worst, n_slots * n_slots
 
 
+def whole_table_eigenvalue_table(kernel: uc.Kernel) -> np.ndarray:
+    """``eigenvalue_table`` as one cumulative sum along the whole (V, D)
+    root-path table, read at column depth(v): the form that the
+    level-by-level walk replaced, kept as its reference, which it must
+    match bit for bit."""
+    tree = kernel.tree
+    paths = tree.root_path_table()
+    up = tree.up[paths]
+    v = kernel.values
+    terms = np.empty((tree.n_vertices, paths.shape[1] + 1), dtype=np.complex128)
+    terms[:, 0] = v * tree.measure
+    terms[:, 1:] = v[up] * (tree.measure[up] - tree.measure[paths])
+    table = np.cumsum(terms, axis=1)[np.arange(tree.n_vertices), tree.depth]
+    table[tree.leaves] = 0
+    return table
+
+
+def whole_table_interaction_table(kernel: uc.Kernel) -> np.ndarray:
+    """``interaction_table`` as one cumulative sum, from 0j, along the
+    whole (V, D) root-path table: the walk's reference."""
+    tree = kernel.tree
+    paths = tree.root_path_table()
+    up = tree.up[paths]
+    terms = np.float_power(tree.measure[paths], 2) * (
+        kernel.values[up] - kernel.values[paths]
+    )
+    zero = np.zeros((tree.n_vertices, 1))
+    table = np.cumsum(np.hstack((zero, terms)), axis=1)[:, 1:]
+    table[np.arange(paths.shape[1]) >= tree.depth[:, None]] = 0
+    return table
+
+
+def whole_table_assemble(tree: uc.BallTree, basis: uc.WaveletBasis,
+                         interaction: uc.Kernel,
+                         dissipation: uc.Kernel) -> uc.CascadeSystem:
+    """``assemble`` gathering every coupling at once along the (V, D)
+    root-path table, with a 3-D mask of (ball, path position, wavelet
+    index) entries and a ``searchsorted`` rank: the walk's reference."""
+    internal = tree.internal
+    eta = whole_table_eigenvalue_table(dissipation)
+    paths = tree.root_path_table()[internal]
+    anc = tree.up[paths]
+    n_wavelets = np.bincount(basis.slot_vertex, minlength=tree.n_vertices)
+    row, pos, j = np.nonzero(
+        (np.arange(paths.shape[1]) < tree.depth[internal][:, None])[:, :, None]
+        & (np.arange(n_wavelets.max()) < n_wavelets[anc][:, :, None])
+    )
+    slot = np.searchsorted(basis.slot_vertex, anc[row, pos]) + j
+    value = basis.slot_coeffs[slot, tree.child_slot[paths[row, pos]]]
+    coeff = whole_table_interaction_table(interaction)[internal[row], pos]
+    k = np.arange(len(row)) - np.searchsorted(row, row)
+    shape = (int(np.bincount(row, minlength=1).max()), len(internal))
+    anc_slot = np.zeros(shape, dtype=np.intp)
+    weight = np.zeros(shape, dtype=np.complex128)
+    anc_slot[k, row] = slot
+    weight[k, row] = uc.solver.complex_products(value, coeff)
+    ball = np.searchsorted(internal, basis.slot_vertex)
+    return uc.CascadeSystem(tree, basis, interaction, dissipation, eta,
+                            anc_slot.take(ball, axis=1), weight.take(ball, axis=1))
+
+
 def two_pass_leaf_sweep(tree: uc.BallTree, interaction: uc.Kernel,
                         dissipation: uc.Kernel):
     """The leaf sweep with a subtree-sum pass of its own for f and for
