@@ -93,11 +93,12 @@ class CascadeSystem:
     sum_k weight[k, s] * v[anc_slot[k, s]]).  ``eta`` is the decay rate per
     vertex (0 on leaves).  ``anc_slot`` and ``weight`` are C-contiguous
     (K, N) arrays, K the largest number of ancestor wavelets of a ball;
-    column s lists the slots on strictly larger balls than v from parent
-    to root, wavelet index ascending (the solvers' reduction order), so
-    all slots of v hold equal columns.  A weight is the value of the
-    ancestor wavelet on v times the interaction coefficient of the pair.
-    Padding holds slot 0 and weight 0.  ``n_couplings`` counts per ball.
+    column s, which every route reads as slot s's own, lists the slots on
+    strictly larger balls than v from parent to root, wavelet index
+    ascending (the solvers' reduction order).  A weight is the value of
+    the ancestor wavelet on v times the interaction coefficient of the
+    pair.  Padding holds slot 0 and weight 0.  ``n_couplings`` counts per
+    ball, in the column of its first slot.
     """
 
     tree: BallTree
@@ -135,25 +136,25 @@ def assemble(
     """Build the coefficient system for a tree, basis, and kernel pair.
 
     Decay rates come from ``eigenvalue_table`` of the dissipation kernel.
-    The weights walk up every internal ball's root path with
-    ``coupling_levels``, each level appending its ancestor's wavelets to
-    the ball's column, which its slots then copy: O(V) numbers besides
-    the output.  A constant interaction kernel gives no couplings.
+    The weights walk up every slot's root path with ``coupling_levels``,
+    each level appending its ancestor's wavelets to the slot's own
+    column: O(N) numbers besides the output.  A constant interaction
+    kernel gives no couplings.
     """
     check_same_tree(tree, interaction, dissipation, basis,
                     message="kernels and basis must live on the system's tree")
-    internal = tree.internal
+    vertex = basis.slot_vertex
     eta = eigenvalue_table(dissipation)
-    n_wavelets = np.bincount(basis.slot_vertex, minlength=tree.n_vertices)
+    n_wavelets = np.bincount(vertex, minlength=tree.n_vertices)
     first = np.cumsum(n_wavelets) - n_wavelets  # slot of wavelet 0 of a ball
-    above = tree.path_sums(n_wavelets)[internal] - n_wavelets[internal]
-    shape = (int(above.max(initial=0)), len(internal))
+    above = tree.path_sums(n_wavelets)[vertex] - n_wavelets[vertex]
+    shape = (int(above.max(initial=0)), len(vertex))
     anc_slot = np.zeros(shape, dtype=np.intp)
     weight = np.zeros(shape, dtype=np.complex128)
-    # rows filled per ball; levels run parent to root and wavelet index
+    # rows filled per slot; levels run parent to root and wavelet index
     # ascends within one, the solvers' reduction order
-    count = np.zeros(len(internal), dtype=np.intp)
-    for cur, up, coeff in coupling_levels(interaction, internal):
+    count = np.zeros(len(vertex), dtype=np.intp)
+    for cur, up, coeff in coupling_levels(interaction, vertex):
         n = np.where(cur > 0, n_wavelets[up], 0)
         for j in range(n.max()):
             col = np.flatnonzero(n > j)
@@ -163,11 +164,6 @@ def assemble(
             anc_slot[count[col] + j, col] = slot
             weight[count[col] + j, col] = complex_products(value, coeff[col])
         count += n
-    # take, unlike [:, ball], keeps the (K, N) columns C-contiguous; one at
-    # a time, so each ball-column array goes before the next is copied
-    ball = np.searchsorted(internal, basis.slot_vertex)
-    anc_slot = anc_slot.take(ball, axis=1)
-    weight = weight.take(ball, axis=1)
     return CascadeSystem(tree, basis, interaction, dissipation, eta, anc_slot, weight)
 
 
@@ -190,6 +186,8 @@ def grid_steps(t_end: float, dt: float) -> int:
         raise ValueError(
             f"t_end and dt must be positive and finite, got {t_end}, {dt}"
         )
+    if t_end / dt == np.inf:
+        raise ValueError(f"t_end={t_end} / dt={dt} is past the float range")
     n = int(round(t_end / dt))
     if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"dt={dt} does not divide t_end={t_end}")
@@ -292,9 +290,9 @@ def solve_recurrent(
     zero, so each depth is solved by numpy passes over only the slots
     that start nonzero, at most ``RECURRENT_BLOCK`` slot-steps per pass:
     the temporaries stay bounded, and every value is the one a single
-    pass per depth would give.  A pass takes a ball's drive and factor
-    once, for all its slots (``_run_heads``).  A pass that leaves a slot
-    above ``BLOWUP_LIMIT``, or not finite, aborts the run unwarned.
+    pass per depth would give.  Each slot is driven from its own column.
+    A pass that leaves a slot above ``BLOWUP_LIMIT``, or not finite,
+    aborts the run unwarned.
     """
     grid = time_grid(t_end, dt, system.n_slots)
     v0vec = _check_initial(system, v0)
@@ -309,17 +307,13 @@ def solve_recurrent(
             at_depth = live[live_depth == d]
             for lo in range(0, len(at_depth), per_pass):
                 slots = at_depth[lo:lo + per_pass]
-                first = _run_heads(system, slots)
-                heads = slots[first]
-                drive = np.zeros((len(grid), len(heads)), dtype=np.complex128)
-                for anc, w in zip(system.anc_slot[:, heads], system.weight[:, heads]):
+                drive = np.zeros((len(grid), len(slots)), dtype=np.complex128)
+                for anc, w in zip(system.anc_slot[:, slots], system.weight[:, slots]):
                     drive += w * values[:, anc]
-                integral = np.concatenate((np.zeros((1, len(heads))), np.cumsum(
+                integral = np.concatenate((np.zeros((1, len(slots))), np.cumsum(
                     float(dt) * (drive[1:] + drive[:-1]) / 2.0, axis=0
                 )), axis=0)
-                factor = np.exp(-system.eta[vertex[heads]] * grid[:, None] - integral)
-                if len(heads) < len(slots):
-                    factor = factor[:, np.cumsum(first) - 1]
+                factor = np.exp(-system.eta[vertex[slots]] * grid[:, None] - integral)
                 values[:, slots] = solved = v0vec[slots] * factor
                 # nan fails every comparison: written so that it aborts too
                 blown = ~(np.abs(solved).max(axis=0) <= BLOWUP_LIMIT)
@@ -331,20 +325,6 @@ def solve_recurrent(
     return coefficient_trajectory(
         system.basis, grid, values, _metadata("recurrent", t_end, dt)
     )
-
-
-def _run_heads(system: CascadeSystem, slots: np.ndarray) -> np.ndarray:
-    """Mask of the ``slots`` that start a run of one ball's slots with
-    bit-equal columns, as assembled balls have: a run shares one drive."""
-    vertex = system.basis.slot_vertex
-    heads = np.ones(len(slots), dtype=bool)
-    pair = np.flatnonzero(vertex[slots[1:]] == vertex[slots[:-1]])
-    if len(pair):
-        a, b = slots[pair], slots[pair + 1]
-        bits = system.weight.view(np.uint64).reshape(*system.weight.shape, 2)
-        heads[pair + 1] = ((system.anc_slot[:, a] != system.anc_slot[:, b]).any(axis=0)
-                           | (bits[:, a] != bits[:, b]).any(axis=(0, 2)))
-    return heads
 
 
 def _rk4_rows(

@@ -111,11 +111,21 @@ class BallTree:
                     or np.any(child_slot[verts] != slot)):
                 raise ValueError("vertices must be numbered in preorder")
             size[up[starts]] += np.add.reduceat(size[verts], starts)
-            # the reduction of measure[list(row)].sum(), a row per parent
+            # the reduction of measure[list(row)].sum(), a row per parent;
+            # a sum past the float range is refused below, unwarned
             for k in np.flatnonzero(np.bincount(counts)).tolist():
                 run = starts[counts == k]
                 rows = verts[run[:, None] + np.arange(k)]
-                measure[up[run]] = measure[rows].sum(axis=1)
+                with np.errstate(over="ignore"):
+                    measure[up[run]] = measure[rows].sum(axis=1)
+        # every ball above an overflowing one overflows too: the highest-
+        # numbered is the smallest, whose children all have finite measures
+        overflow = np.flatnonzero(~np.isfinite(measure))
+        if len(overflow):
+            raise ValueError(
+                f"ball {self.label(int(overflow[-1]))!r}: its leaf measures "
+                "sum past the largest float"
+            )
 
         diameter = np.array(diameter, dtype=np.float64)
         if diameter.shape != (n,):

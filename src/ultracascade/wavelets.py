@@ -29,6 +29,7 @@ use; the transforms, ``assemble`` and the recurrent route never need them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -118,7 +119,14 @@ class LeafField:
         return float(np.sqrt(np.abs(self.values) ** 2 @ self.leaf_measures))
 
     def is_mean_zero(self, rtol: float = MEAN_ZERO_RTOL) -> bool:
-        return abs(self.mean()) <= rtol * max(self.norm(), 1e-300)
+        """|mean| <= rtol * max(norm, 1e-300).  A field with a real or
+        imaginary part of 0.5 or more is first scaled by the power of two
+        that brings every part below 0.5: exact, so the decision is the
+        unscaled one, and neither side then overflows for finite values."""
+        top = float(np.abs(self.values.view(np.float64)).max(initial=0.0))
+        scale = 2.0 ** -max(0, math.frexp(top)[1] + 1)
+        f = LeafField(self.tree, self.values * scale) if scale < 1 else self
+        return abs(f.mean()) <= rtol * max(f.norm(), 1e-300 * scale)
 
 
 class WaveletBasis:

@@ -548,6 +548,65 @@ def test_cli_rejects_infinite_t_end_without_traceback(tmp_path, command):
     assert "finite" in proc.stdout + proc.stderr
 
 
+def _one_line_refusal(tmp_path, raw: dict, command: str) -> str:
+    """Run ``command`` on ``raw``: exit 2, one line of output, and nothing
+    else on stderr.  Returns that line."""
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", command, str(path), *out],
+        capture_output=True, text=True,
+    )
+    lines = (proc.stdout + proc.stderr).splitlines()
+    assert proc.returncode == 2
+    assert len(lines) == 1
+    assert proc.stderr in ("", lines[0] + "\n")
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+def test_cli_refuses_an_overflowing_ball_measure_in_one_line(tmp_path, command):
+    """Two leaves of measure 1e308 sum past the float range at the root:
+    one refusal naming the ball, no numpy warning."""
+    raw = minimal_config()
+    raw["tree"] = {"root": {"children": [{"measure": 1e308}, {"measure": 1e308}]}}
+    line = _one_line_refusal(tmp_path, raw, command)
+    assert line.endswith("ball '': its leaf measures sum past the largest float")
+
+
+def test_cli_refuses_a_leaf_field_whose_mean_is_near_the_float_range(tmp_path):
+    raw = minimal_config()
+    raw["initial"] = {"leaves": [[path, x, 0.0] for path, x in zip(
+        ("0.0", "0.1", "1.0", "1.1"), (1e308, 1e308, 1e308, -1e307))]}
+    line = _one_line_refusal(tmp_path, raw, "validate")
+    assert line.startswith("invalid: leaf field has mean 7.250e+307")
+
+
+def test_cli_validates_a_mean_zero_field_of_1e308(tmp_path):
+    raw = minimal_config()
+    raw["initial"] = {"leaves": [[path, x, 0.0] for path, x in zip(
+        ("0.0", "0.1", "1.0", "1.1"), (1e308, -1e308, 1e308, -1e308))]}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultracascade", "validate", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("ok: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_refuses_a_step_count_past_the_float_range(tmp_path, command):
+    raw = minimal_config()
+    raw["t_end"], raw["dt"] = 1e300, 1e-300
+    line = _one_line_refusal(tmp_path, raw, command)
+    assert "t_end" in line and "dt" in line
+    assert "past the float range" in line
+
+
 def test_cli_rejects_overflowing_kernel_in_one_line(tmp_path):
     """An exponent that overflows the power kernel is one error line; no
     numpy warning reaches stderr."""

@@ -57,6 +57,17 @@ def test_nonpositive_leaf_measure_rejected():
             uc.build_tree(spec)
 
 
+def test_overflowing_ball_measure_names_the_smallest_such_ball():
+    """Leaf measures that sum past the float range are refused, naming the
+    smallest ball whose sum overflows, not the root above it."""
+    spec = {"children": [
+        {"measure": 1.0},
+        {"children": [{"measure": 1e308}, {"measure": 1e308}]},
+    ]}
+    with pytest.raises(ValueError, match=r"^ball '1': its leaf measures sum past"):
+        uc.build_tree(spec)
+
+
 def test_diameters_must_increase_toward_root():
     spec = {
         "diameter": 1.0,

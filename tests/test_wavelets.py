@@ -144,6 +144,18 @@ def test_analyze_rejects_nonzero_mean():
         uc.analyze(basis, f)
 
 
+def test_mean_zero_guard_holds_near_the_float_range():
+    """A field near 1e308 whose norm overflows in the plain sums is judged
+    as the same field scaled down: mean 7.25e307 is refused, and a
+    mean-zero field of +-1e308 passes, with no numpy warning."""
+    tree = uc.build_tree({"p": 2, "depth": 2})
+    big = np.array([1e308, 1e308, 1e308, -1e307])
+    assert not uc.LeafField(tree, big).is_mean_zero()
+    assert not uc.LeafField(tree, big * 1e-308).is_mean_zero()
+    assert uc.LeafField(tree, np.array([1e308, -1e308, 1e308, -1e308])).is_mean_zero()
+    assert uc.LeafField(tree, np.array([1e308j, -1e308j, 0, 0])).is_mean_zero()
+
+
 def test_analyze_of_wavelet_is_unit_coefficient():
     tree = uc.build_tree({"p": 3, "depth": 2})
     basis = uc.build_basis(tree)
