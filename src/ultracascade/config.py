@@ -274,8 +274,12 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
     A shorthand tree over ``tree.MAX_VERTICES`` balls, or a stored
     trajectory over ``solver.MAX_TRAJECTORY_BYTES``, is refused before
-    either is allocated; so is a tree of a single ball, which has no
-    wavelet slot to solve.  Wavelet-initial input is read straight into
+    either is allocated, the trajectory before the basis too.  It is
+    checked as the leaf route stores it, one column per leaf, whichever
+    route the scenario runs (``oracle`` runs them all), so a trajectory
+    that fits one column over the slots but not the leaves is refused
+    too.  So is a tree of a single ball, which has no wavelet slot to
+    solve.  Wavelet-initial input is read straight into
     ``v0`` with no synthesis pass; leaf-initial input is parsed into a
     ``LeafField`` that goes to ``analyze`` and is not kept.
     """
@@ -284,8 +288,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         if len(tree.internal) == 0:
             raise ConfigError("tree needs at least one internal ball: "
                               "a single ball carries no wavelet slot")
+        # the leaf route's array: L leaves carry L - 1 wavelet slots on
+        # any tree, so this bounds the slot trajectory too
+        check_trajectory_budget(grid_steps(cfg.t_end, cfg.dt), tree.n_leaves,
+                                "leaves")
         basis = build_basis(tree, cfg.basis)
-        check_trajectory_budget(grid_steps(cfg.t_end, cfg.dt), basis.n_slots)
         interaction = build_kernel(tree, cfg.interaction)
         dissipation = build_kernel(tree, cfg.dissipation)
         kind, records = next(iter(cfg.initial.items()))

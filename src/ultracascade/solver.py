@@ -194,23 +194,28 @@ def grid_steps(t_end: float, dt: float) -> int:
     return n
 
 
-def check_trajectory_budget(steps: int, columns: int) -> None:
+def check_trajectory_budget(steps: int, columns: int, unit: str = "slots") -> None:
     """Refuse a trajectory of (steps + 1) x columns complex numbers above
-    ``MAX_TRAJECTORY_BYTES``, before anything is allocated."""
+    ``MAX_TRAJECTORY_BYTES``, before anything is allocated; ``unit`` names
+    the columns.  The need is printed to as many digits as it takes to
+    read above the limit."""
     need = (steps + 1) * columns * 16
     if need > MAX_TRAJECTORY_BYTES:
+        gib, limit = need / 2**30, MAX_TRAJECTORY_BYTES / 2**30
+        shown = next(text for text in (f"{gib:.{d}g}" for d in range(3, 18))
+                     if float(text) > limit)
         raise ValueError(
-            f"the trajectory of {steps + 1} times x {columns} slots needs "
-            f"{need / 2**30:.3g} GiB, above the limit of "
-            f"{MAX_TRAJECTORY_BYTES / 2**30:g} GiB"
+            f"the trajectory of {steps + 1} times x {columns} {unit} needs "
+            f"{shown} GiB, above the limit of {limit:g} GiB"
         )
 
 
-def time_grid(t_end: float, dt: float, columns: int = 0) -> np.ndarray:
+def time_grid(t_end: float, dt: float, columns: int = 0,
+              unit: str = "slots") -> np.ndarray:
     """Uniform grid 0, dt, ..., t_end; dt must divide t_end.  With
     ``columns``, first refuse a trajectory over the budget on that grid."""
     steps = grid_steps(t_end, dt)
-    check_trajectory_budget(steps, columns)
+    check_trajectory_budget(steps, columns, unit)
     return np.arange(steps + 1) * float(dt)
 
 
@@ -591,7 +596,7 @@ def solve_leaf(
             f"initial leaf field has mean {f0.mean():.3e}; "
             "the cascade dynamics are defined on mean-zero fields only"
         )
-    grid = time_grid(t_end, dt, tree.n_leaves)
+    grid = time_grid(t_end, dt, tree.n_leaves, "leaves")
     values, max_est = _integrate(
         _leaf_sweep(tree, interaction, dissipation), f0.values.copy(),
         grid, float(dt), stacked=2 * tree.n_leaves <= STAGE_BLOCK,

@@ -239,9 +239,6 @@ class BallTree:
     def is_leaf(self, v: int) -> bool:
         return bool(self.branching[self._check(v)] == 0)
 
-    def is_internal(self, v: int) -> bool:
-        return not self.is_leaf(v)
-
     def n_children(self, v: int) -> int:
         return int(self.branching[self._check(v)])
 

@@ -22,9 +22,10 @@ dense (slots x leaves) basis matrix is a test reference only;
 ``build_basis`` is O(V * p) numpy plus one small Python loop per group of
 balls with equal child measures (one group per depth on a shorthand
 tree): it groups the rows of child measures with one ``np.unique`` and
-fills ``slot_coeffs`` with one gather.  The per-vertex ``coeffs`` dict and
-the ``slots``, ``slot_index`` and ``labels`` tuples are built on first
-use; the transforms, ``assemble`` and the recurrent route never need them.
+fills ``slot_coeffs`` with one gather.  The groups stay inside it: the
+basis keeps per-slot arrays only.  The per-vertex ``coeffs`` dict of
+views and the ``slots`` and ``labels`` tuples are built on first use; the
+transforms, ``assemble`` and the recurrent route never need them.
 """
 
 from __future__ import annotations
@@ -118,15 +119,15 @@ class LeafField:
         """Norm in the measure-weighted square-integral sense."""
         return float(np.sqrt(np.abs(self.values) ** 2 @ self.leaf_measures))
 
-    def is_mean_zero(self, rtol: float = MEAN_ZERO_RTOL) -> bool:
-        """|mean| <= rtol * max(norm, 1e-300).  A field with a real or
+    def is_mean_zero(self) -> bool:
+        """|mean| <= MEAN_ZERO_RTOL * max(norm, 1e-300).  A field with a real or
         imaginary part of 0.5 or more is first scaled by the power of two
         that brings every part below 0.5: exact, so the decision is the
         unscaled one, and neither side then overflows for finite values."""
         top = float(np.abs(self.values.view(np.float64)).max(initial=0.0))
         scale = 2.0 ** -max(0, math.frexp(top)[1] + 1)
         f = LeafField(self.tree, self.values * scale) if scale < 1 else self
-        return abs(f.mean()) <= rtol * max(f.norm(), 1e-300 * scale)
+        return abs(f.mean()) <= MEAN_ZERO_RTOL * max(f.norm(), 1e-300 * scale)
 
 
 class WaveletBasis:
@@ -139,58 +140,41 @@ class WaveletBasis:
     zero-padded to the largest branching, and ``slot_children`` the
     matching child vertices (padding holds the root): wavelet s takes the
     value ``slot_coeffs[s, m]`` on the ball ``slot_children[s, m]``.
-    These O(N * p_max) arrays are all the transforms read.
-
-    A block of rows depends only on the child measures of its ball, so
-    ``blocks`` holds one read-only (p_I - 1, p_I) table per group of
-    balls with the same child measures, and ``block_of[i]`` names the
-    block of ``tree.internal[i]``.  The per-vertex dict ``coeffs``, the
-    tuple ``slots`` of (I, j) pairs, its inverse ``slot_index`` and the
-    ``labels`` are built on first use, in O(N) Python.
+    These O(N * p_max) arrays are all the transforms read, and
+    ``slot_of(I, j)`` finds a slot.  The per-vertex dict ``coeffs`` of
+    read-only views into ``slot_coeffs``, the tuple ``slots`` of (I, j)
+    pairs and the ``labels`` are built on first use, in O(N) Python.
     """
 
-    def __init__(self, tree: BallTree, scheme: str,
-                 blocks: list[np.ndarray], block_of: np.ndarray):
+    def __init__(self, tree: BallTree, scheme: str, slot_coeffs: np.ndarray):
         self.tree = tree
         self.scheme = scheme
-        self.blocks = blocks
-        self.block_of = block_of
         internal = tree.internal
         wavelets = tree.branching[internal] - 1
         first = np.cumsum(wavelets) - wavelets
-        n_slots = int(wavelets.sum())
         self.slot_vertex = np.repeat(internal, wavelets).astype(np.intp)
-        self.slot_wavelet = np.arange(n_slots) - np.repeat(first, wavelets)
+        self.slot_wavelet = (np.arange(len(self.slot_vertex))
+                             - np.repeat(first, wavelets))
         self._first_slot = np.full(tree.n_vertices, -1, dtype=np.intp)
         self._first_slot[internal] = first
-
-        # every block's rows stacked, then one gather by slot
-        heights = np.array([len(b) for b in blocks], dtype=np.intp)
-        start = np.cumsum(heights) - heights
-        rows = np.zeros((int(heights.sum()), tree.child_table.shape[1]),
-                        dtype=np.complex128)
-        for block, s0 in zip(blocks, start.tolist()):
-            rows[s0:s0 + len(block), :block.shape[1]] = block
-        self.slot_coeffs = rows[np.repeat(start[block_of], wavelets)
-                                + self.slot_wavelet]
+        self.slot_coeffs = slot_coeffs
         self.slot_children = tree.child_table[self.slot_vertex]
-        for arr in (self.block_of, self.slot_vertex, self.slot_wavelet,
-                    self._first_slot, self.slot_coeffs, self.slot_children):
+        for arr in (self.slot_vertex, self.slot_wavelet, self._first_slot,
+                    self.slot_coeffs, self.slot_children):
             arr.setflags(write=False)
 
     @cached_property
     def coeffs(self) -> dict[int, np.ndarray]:
-        """Block of every internal vertex; vertices of one group share it."""
-        return {v: self.blocks[g] for v, g in
-                zip(self.tree.internal.tolist(), self.block_of.tolist())}
+        """Block of every internal ball: a read-only view of its rows of
+        ``slot_coeffs``, cut to its branching."""
+        internal = self.tree.internal
+        return {v: self.slot_coeffs[s:s + p - 1, :p] for v, s, p in zip(
+            internal.tolist(), self._first_slot[internal].tolist(),
+            self.tree.branching[internal].tolist())}
 
     @cached_property
     def slots(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.slot_vertex.tolist(), self.slot_wavelet.tolist()))
-
-    @cached_property
-    def slot_index(self) -> dict[tuple[int, int], int]:
-        return {s: i for i, s in enumerate(self.slots)}
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -357,16 +341,17 @@ def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
     ``exp(2*pi*1j*(j+1)*m/p)`` and requires all children of every internal
     vertex to carry equal measure.
 
-    A block depends only on the child measures, so vertices whose child
-    measures agree to the last bit share one read-only block: one
-    ``np.unique`` over the rows of child measures finds the groups, a
-    Python loop runs once per group, and one gather fills ``slot_coeffs``.
+    A block depends only on the child measures, so one ``np.unique`` over
+    the rows of child measures groups the balls whose measures agree to
+    the last bit, a Python loop builds each group's block once, and one
+    gather writes every ball's rows into ``slot_coeffs``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown basis scheme {scheme!r}; use one of {SCHEMES}")
     internal = tree.internal
     if len(internal) == 0:
-        return WaveletBasis(tree, scheme, [], np.zeros(0, dtype=np.intp))
+        return WaveletBasis(tree, scheme, np.zeros(
+            (0, tree.child_table.shape[1]), dtype=np.complex128))
     branching = tree.branching[internal]
     nu = tree.measure[tree.child_table[internal]]
     # zero padding past the last child keeps the byte keys of different
@@ -374,16 +359,18 @@ def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
     nu[np.arange(nu.shape[1]) >= branching[:, None]] = 0.0
     keys = nu.view(np.dtype((np.void, nu.itemsize * nu.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    # blocks in the preorder of their first vertex, the vertex that a
-    # failing equal-measure check names
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    blocks = []
+    # each group's block once, its p - 1 rows stacked at ``offset``
+    wavelets = branching - 1
+    heights = wavelets[first]
+    offset = np.cumsum(heights) - heights
+    table = np.zeros((int(heights.sum()), nu.shape[1]), dtype=np.complex128)
     # measures near the ends of the float range overflow or underflow
     # here: the norm check below refuses the block instead
     with np.errstate(all="ignore"):
-        for i in first[order].tolist():
+        # in the preorder of each group's first ball, the ball a failing
+        # check names
+        for g in np.argsort(first).tolist():
+            i = first[g]
             row = nu[i, :branching[i]]
             if scheme == "gram-schmidt":
                 block = _gram_schmidt_block(row)
@@ -395,9 +382,11 @@ def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
                     f"ball {tree.label(internal[i])!r}: its child measures give no "
                     f"orthonormal wavelets (a norm is not 1 within {NORM_TOL:g})"
                 )
-            block.setflags(write=False)
-            blocks.append(block)
-    return WaveletBasis(tree, scheme, blocks, rank[group.ravel()])
+            table[offset[g]:offset[g] + len(block), :len(row)] = block
+    # the rows of each ball's group block, in slot order
+    start = offset[group.ravel()] - (np.cumsum(wavelets) - wavelets)
+    rows = np.repeat(start, wavelets) + np.arange(int(wavelets.sum()))
+    return WaveletBasis(tree, scheme, table.take(rows, axis=0))
 
 
 def _gram_schmidt_block(nu: np.ndarray) -> np.ndarray:

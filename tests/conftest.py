@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -462,6 +463,20 @@ def reference_tree(spec: dict) -> ReferenceTree:
     return ReferenceTree(children, leaf_measure, diameter)
 
 
+def build_counting_blocks(tree: uc.BallTree, scheme: str = "gram-schmidt"
+                          ) -> tuple[uc.WaveletBasis, int]:
+    """``build_basis(tree, scheme)`` and the number of blocks it built,
+    counted by wrapping both block builders."""
+    from ultracascade import wavelets
+
+    with mock.patch.object(wavelets, "_gram_schmidt_block",
+                           wraps=wavelets._gram_schmidt_block) as gs, \
+         mock.patch.object(wavelets, "_roots_of_unity_block",
+                           wraps=wavelets._roots_of_unity_block) as ru:
+        basis = uc.build_basis(tree, scheme)
+    return basis, gs.call_count + ru.call_count
+
+
 def reference_basis(tree: ReferenceTree, scheme: str) -> dict:
     """The per-vertex basis tables as ``build_basis`` and
     ``WaveletBasis.__init__`` made them, one block per distinct child
@@ -488,7 +503,6 @@ def reference_basis(tree: ReferenceTree, scheme: str) -> dict:
     return {
         "coeffs": coeffs,
         "slots": slots,
-        "slot_index": {s: i for i, s in enumerate(slots)},
         "slot_vertex": np.array([v for v, _ in slots], dtype=np.intp),
         "slot_wavelet": np.array([j for _, j in slots], dtype=np.intp),
         "labels": tuple(f"{tree.labels[v]}:{j}" for v, j in slots),

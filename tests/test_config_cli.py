@@ -1104,15 +1104,26 @@ def test_trajectory_csv_values_round_trip_bitwise(tmp_path):
             assert complex(re, im) == traj.values[k, i]
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+LEAF_BUDGET_REFUSAL = ("the trajectory of 16385 times x 4096 leaves needs "
+                       "1.0001 GiB, above the limit of 1 GiB")
+# p=4 depth 6 on 16,384 steps: its 4,095 slot columns fit the 1 GiB
+# trajectory budget, and the leaf route's 4,096 leaf columns do not.  The
+# leaf array is budgeted whatever the solver, as ``oracle`` runs every route
+LEAF_BUDGET_CHANGE = {"tree": {"p": 4, "depth": 6}, "t_end": 16.384, "dt": 1e-3}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
 @pytest.mark.parametrize(
     "change, estimate",
     [
         ({"tree": {"p": 2, "depth": 40}}, "has 2.2e+12 balls"),
         ({"tree": {"p": 1000000, "depth": 3}}, "has 1e+18 balls"),
-        ({"t_end": 1e9, "dt": 1e-9}, "x 3 slots needs 4.47e+10 GiB"),
+        ({"t_end": 1e9, "dt": 1e-9}, "x 4 leaves needs 5.96e+10 GiB"),
+        (dict(LEAF_BUDGET_CHANGE, solver="leaf"), LEAF_BUDGET_REFUSAL),
+        (dict(LEAF_BUDGET_CHANGE, solver="recurrent"), LEAF_BUDGET_REFUSAL),
     ],
-    ids=["p2-depth40", "p1e6-depth3", "1e18-steps"],
+    ids=["p2-depth40", "p1e6-depth3", "1e18-steps", "leaf-route",
+         "leaf-array-recurrent"],
 )
 def test_cli_refuses_over_budget_before_allocating(
     tmp_path, capsys, command, change, estimate
@@ -1319,11 +1330,12 @@ def test_cli_validate_out_of_address_space_exits_2_in_one_line(tmp_path,
     assert idle.returncode == 0, idle.stderr
     peak_kb = next(int(line.split()[1]) for line in idle.stdout.splitlines()
                    if line.startswith("VmPeak:"))
-    # a depth-20 tree needs hundreds of MiB more than this margin
+    # a depth-20 tree needs hundreds of MiB more than this margin; one
+    # step keeps its trajectory inside the budget, which is checked first
     cap = peak_kb * 1024 + 256 * 2 ** 20
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps(dict(minimal_config(), tree={"p": 2, "depth": 20})),
-                    encoding="utf-8")
+    path.write_text(json.dumps(dict(minimal_config(), tree={"p": 2, "depth": 20},
+                                    t_end=0.01)), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "ultracascade", "validate", str(path)],
         capture_output=True, text=True, env=env,

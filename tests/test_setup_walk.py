@@ -112,8 +112,9 @@ def test_assemble_matches_its_whole_table_form_bit_for_bit():
 
 def test_build_scenario_peak_stays_near_what_it_builds():
     """p=2 depth 14, one initial slot per depth along one root path.  The
-    walk peaks at about 1.5 times the bytes the scenario keeps; the (V, D)
-    root-path tables it replaced peaked at about 4.6 times."""
+    walk peaks at about 1.3 times the bytes the scenario keeps (1.2 at
+    depth 18); the (V, D) root-path tables it replaced peaked at about
+    4.6 times."""
     cfg = uc.parse_config({
         "tree": {"p": 2, "depth": 14},
         "interaction": {"type": "power", "a": [1.0, 0.0], "b": 0.5},

@@ -98,7 +98,7 @@ def _pairwise_column(basis, interaction, v):
         coeff = uc.interaction_coefficient(interaction, anc, v)
         for jp in range(tree.n_children(anc) - 1):
             w = uc.ancestor_value(basis, anc, jp, v) * coeff
-            column.append((basis.slot_index[(anc, jp)], w))
+            column.append((basis.slot_of(anc, jp), w))
     return column
 
 
@@ -158,7 +158,7 @@ def test_assemble_lays_each_balls_column_on_every_slot():
             want_slot = [s for s, _ in column]
             want_weight = np.array([w for _, w in column], dtype=complex)
             for j in range(tree.n_children(v) - 1):
-                s = basis.slot_index[(v, j)]
+                s = basis.slot_of(v, j)
                 assert system.anc_slot[:, s].tolist() == want_slot
                 assert system.weight[:, s].tobytes() == want_weight.tobytes()
         assert system.n_couplings == per_ball
@@ -242,7 +242,7 @@ def _per_vertex_recurrent(system, v0, t_end, dt):
     values = np.zeros((len(grid), system.n_slots), dtype=complex)
     for v in system.tree.internal:
         drive = np.zeros(len(grid), dtype=complex)
-        first = system.basis.slot_index[(int(v), 0)]
+        first = system.basis.slot_of(int(v), 0)
         for a, w in zip(system.anc_slot[:, first], system.weight[:, first]):
             drive += complex(w) * values[:, a]
         integral = np.concatenate(
@@ -250,7 +250,7 @@ def _per_vertex_recurrent(system, v0, t_end, dt):
         )
         block = np.exp(-complex(system.eta[v]) * grid - integral)
         for j in range(system.tree.n_children(v) - 1):
-            s = system.basis.slot_index[(int(v), j)]
+            s = system.basis.slot_of(int(v), j)
             if v0vec[s] != 0:
                 values[:, s] = v0vec[s] * block
     return values
@@ -786,7 +786,7 @@ def test_recurrent_aborts_on_a_nan_weight_of_one_slot(monkeypatch, per_pass):
     system = uc.assemble(tree, basis, uc.random_kernel(tree, rng, max_abs=0.8),
                          dissipative_kernel(tree, rng))
     weight = system.weight.copy()
-    weight[0, basis.slot_index[(tree.vertex("1"), 1)]] = np.nan
+    weight[0, basis.slot_of(tree.vertex("1"), 1)] = np.nan
     v0 = uc.WaveletField(basis, {slot: 0.5 for slot in basis.slots})
     # a grid of 11 times
     monkeypatch.setattr(solver, "RECURRENT_BLOCK", 11 * per_pass)

@@ -15,7 +15,7 @@ import pytest
 import ultracascade as uc
 from ultracascade import oracles
 
-from conftest import reference_basis, reference_tree
+from conftest import build_counting_blocks, reference_basis, reference_tree
 
 TREE_ARRAYS = ("parent", "child_slot", "depth", "measure", "diameter",
                "leaves", "internal", "leaf_ranges")
@@ -33,19 +33,26 @@ def assert_same_tree(tree: uc.BallTree, ref) -> None:
     assert tree.n_vertices == len(ref.children)
 
 
-def assert_same_basis(basis: uc.WaveletBasis, ref: dict) -> None:
+def assert_same_basis(tree: uc.BallTree, scheme: str, ref: dict) -> None:
+    """Build the basis of ``tree`` and compare it with ``ref``; one block
+    is built per group of equal child measures, and no ball's block is a
+    copy of its ``slot_coeffs`` rows."""
+    basis, n_blocks = build_counting_blocks(tree, scheme)
     for name in BASIS_ARRAYS:
         got = getattr(basis, name)
         assert got.shape == ref[name].shape, name
         assert got.tobytes() == ref[name].astype(got.dtype).tobytes(), name
     assert basis.slots == ref["slots"]
-    assert basis.slot_index == ref["slot_index"]
+    for s, (v, j) in enumerate(ref["slots"]):
+        assert basis.slot_of(v, j) == s
     assert basis.labels == ref["labels"]
     assert basis.coeffs.keys() == ref["coeffs"].keys()
     for v, block in basis.coeffs.items():
         assert block.tobytes() == ref["coeffs"][v].tobytes()
         assert block.shape == ref["coeffs"][v].shape
-    assert len({id(b) for b in basis.coeffs.values()}) == ref["n_groups"]
+        assert not block.flags.writeable
+        assert np.shares_memory(block, basis.slot_coeffs)
+    assert n_blocks == ref["n_groups"]
 
 
 def shorthand_cases():
@@ -63,7 +70,7 @@ def test_shorthand_tree_and_basis_match_loop_reference(p, depth):
     ref = reference_tree(spec)
     assert_same_tree(tree, ref)
     for scheme in ("gram-schmidt", "roots-of-unity"):
-        assert_same_basis(uc.build_basis(tree, scheme), reference_basis(ref, scheme))
+        assert_same_basis(tree, scheme, reference_basis(ref, scheme))
 
 
 def random_specs(count: int, seed: int) -> list[dict]:
@@ -95,9 +102,9 @@ def test_random_trees_and_bases_match_loop_reference():
         tree = uc.build_tree(spec)
         ref = reference_tree(spec)
         assert_same_tree(tree, ref)
-        assert_same_basis(uc.build_basis(tree), reference_basis(ref, "gram-schmidt"))
+        assert_same_basis(tree, "gram-schmidt", reference_basis(ref, "gram-schmidt"))
         if i % 4 == 1:  # equal splits: the roots-of-unity scheme applies
-            assert_same_basis(uc.build_basis(tree, "roots-of-unity"),
+            assert_same_basis(tree, "roots-of-unity",
                               reference_basis(ref, "roots-of-unity"))
 
 
@@ -251,7 +258,7 @@ def test_build_scenario_on_shorthand_leaves_children_and_labels_unbuilt():
     scen = uc.build_scenario(uc.parse_config(raw))
     for name in ("children", "labels"):
         assert name not in vars(scen.system.tree)
-    for name in ("coeffs", "slots", "slot_index", "labels"):
+    for name in ("coeffs", "slots", "labels"):
         assert name not in vars(scen.system.basis)
     # first use builds them, equal to the reference
     assert_same_tree(scen.system.tree, reference_tree(raw["tree"]))

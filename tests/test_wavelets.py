@@ -1,6 +1,7 @@
 """Wavelet basis construction and the analyze/synthesize transforms."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import ultracascade as uc
 from ultracascade import oracles
 from ultracascade.wavelets import _gram_schmidt_block, _roots_of_unity_block
 
-from conftest import dense_basis_matrix, random_mean_zero_field
+from conftest import build_counting_blocks, dense_basis_matrix, random_mean_zero_field
 
 
 def weighted_gram(block: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -395,7 +396,7 @@ def test_memoized_blocks_equal_fresh_per_vertex_construction():
               for s in ("gram-schmidt", "roots-of-unity")]
     shared = 0
     for tree, scheme in trees:
-        basis = uc.build_basis(tree, scheme)
+        basis, n_blocks = build_counting_blocks(tree, scheme)
         for v in tree.internal:
             nu = tree.measure[list(tree.children[v])]
             fresh = (_gram_schmidt_block(nu) if scheme == "gram-schmidt"
@@ -403,7 +404,30 @@ def test_memoized_blocks_equal_fresh_per_vertex_construction():
             block = basis.coeffs[int(v)]
             assert block.tobytes() == fresh.tobytes()
             assert not block.flags.writeable
-        shared += len(tree.internal) - len({id(b) for b in basis.coeffs.values()})
+            assert np.shares_memory(block, basis.slot_coeffs)
+        shared += len(tree.internal) - n_blocks
     assert shared > 0
-    padic = uc.build_basis(uc.build_tree({"p": 2, "depth": 6}))
-    assert len({id(b) for b in padic.coeffs.values()}) == 6
+    _, n_blocks = build_counting_blocks(uc.build_tree({"p": 2, "depth": 6}))
+    assert n_blocks == 6
+
+
+def test_build_basis_peak_scales_with_slots_beside_a_wide_ball():
+    """A root of 100 children, each over two leaves of its own measure
+    ratio: 101 groups, the widest of branching 100.  The blocks are
+    stacked by each group's own rows, so ``build_basis`` peaks near the
+    bytes of ``slot_coeffs``, not at groups x p_max x p_max numbers
+    (about 50 times as many here)."""
+    n = 100
+    tree = uc.build_tree({"children": [
+        {"children": [{"measure": 1.0}, {"measure": 1.0 + (k + 1) / n}]}
+        for k in range(n)]})
+    tree.child_table  # built on first use: not part of the basis peak
+    tracemalloc.start()
+    try:
+        basis, n_blocks = build_counting_blocks(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_blocks == n + 1
+    assert basis.slot_coeffs.shape == (2 * n - 1, n)
+    assert peak < 6 * basis.slot_coeffs.nbytes
