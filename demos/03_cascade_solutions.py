@@ -31,7 +31,7 @@ print(f"  couplings: {system.n_couplings} "
       f"(only nested pairs with nonzero coefficient)")
 
 mid = tree.vertex("0")
-v0 = uc.WaveletField(basis, {(tree.root, 0): 0.6, (mid, 0): 0.5})
+v0 = uc.WaveletField.from_records(basis, [["", 0, 0.6, 0.0], ["0", 0, 0.5, 0.0]])
 print(f"  initial condition: root slot 0.6, slot '0:0' 0.5")
 
 print()
@@ -59,8 +59,7 @@ print(f"  max |inner - closed form|: "
 
 print()
 print("== localization: untouched slots stay silent ==")
-quiet = [s for s, (v, j) in enumerate(traj.slots)
-         if (v, j) not in v0.data]
+quiet = np.flatnonzero(v0.values == 0)
 worst = max(float(np.abs(t.values[:, quiet]).max())
             for t in trajectories.values())
 print(f"  {len(quiet)} slots started at zero; worst magnitude across "

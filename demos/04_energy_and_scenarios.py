@@ -27,10 +27,9 @@ interaction = uc.Kernel.power(tree, 0.9, 0.5)
 dissipation = uc.Kernel.power(tree, 1.0, 0.3)
 system = uc.assemble(tree, basis, interaction, dissipation)
 
-data = {}
-for vertex, j in basis.slots:
-    data[(vertex, j)] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-v0 = uc.WaveletField(basis, data)
+# every slot in slot order: the field is one coefficient vector
+v0 = uc.WaveletField(basis, [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                             for _ in range(basis.n_slots)])
 
 traj = uc.solve_recurrent(system, v0, t_end=2.0, dt=1e-3)
 rows = uc.energy_by_level(traj)

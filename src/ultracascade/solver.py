@@ -58,8 +58,9 @@ __all__ = [
 # signals that dt is too coarse for the problem
 STEP_ERROR_TOL = 1e-3
 
-# slots x time steps that one pass of solve_recurrent solves at once:
-# bounds its temporaries to a few times this many complex numbers
+# slots x time steps that one pass of solve_recurrent solves, or of
+# analyze_trajectory projects, at once: bounds their temporaries to a few
+# times this many complex numbers
 RECURRENT_BLOCK = 1 << 12
 
 # most complex values (rows x leaves) in one stacked leaf sweep of the
@@ -108,10 +109,6 @@ class CascadeSystem:
     eta: np.ndarray
     anc_slot: np.ndarray
     weight: np.ndarray
-
-    @property
-    def slots(self) -> tuple[tuple[int, int], ...]:
-        return self.basis.slots
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -274,7 +271,7 @@ def _metadata(solver: str, t_end: float, dt: float, **extra) -> dict:
 def _check_initial(system: CascadeSystem, v0: WaveletField) -> np.ndarray:
     if v0.basis is not system.basis:
         raise ValueError("initial field must use the system's basis")
-    return v0.dense()
+    return v0.values
 
 
 def solve_recurrent(
@@ -312,7 +309,8 @@ def solve_recurrent(
             at_depth = live[live_depth == d]
             for lo in range(0, len(at_depth), per_pass):
                 slots = at_depth[lo:lo + per_pass]
-                drive = np.zeros((len(grid), len(slots)), dtype=np.complex128)
+                # column-major: the cumsum and max over time read contiguous memory
+                drive = np.zeros((len(grid), len(slots)), dtype=np.complex128, order="F")
                 for anc, w in zip(system.anc_slot[:, slots], system.weight[:, slots]):
                     drive += w * values[:, anc]
                 integral = np.concatenate((np.zeros((1, len(slots))), np.cumsum(
@@ -609,11 +607,16 @@ def solve_leaf(
 def analyze_trajectory(
     leaf_traj: LeafTrajectory, basis: WaveletBasis
 ) -> Trajectory:
-    """Project every snapshot of a leaf trajectory onto the wavelet basis,
-    by the analyze sweep on all time rows at once: O(T * V * p)."""
+    """Project every snapshot of a leaf trajectory onto the wavelet basis
+    by the analyze sweep, O(T * V * p), in passes of at most
+    ``RECURRENT_BLOCK`` slot-steps: the sweep is row-wise, so the values
+    are those of one pass, and only the output grows with T."""
     check_same_tree(basis.tree, leaf_traj,
                     message="trajectory and basis belong to different trees")
-    coeffs = basis.analyze_array(leaf_traj.values)
+    rows = max(1, RECURRENT_BLOCK // max(1, basis.n_slots))
+    coeffs = np.empty((len(leaf_traj.values), basis.n_slots), dtype=np.complex128)
+    for lo in range(0, len(coeffs), rows):
+        coeffs[lo:lo + rows] = basis.analyze_array(leaf_traj.values[lo:lo + rows])
     return coefficient_trajectory(
         basis, leaf_traj.grid, coeffs, dict(leaf_traj.metadata)
     )

@@ -22,16 +22,16 @@ dense (slots x leaves) basis matrix is a test reference only;
 ``build_basis`` is O(V * p) numpy plus one small Python loop per group of
 balls with equal child measures (one group per depth on a shorthand
 tree): it groups the rows of child measures with one ``np.unique`` and
-fills ``slot_coeffs`` with one gather.  The groups stay inside it: the
-basis keeps per-slot arrays only.  The per-vertex ``coeffs`` dict of
-views and the ``slots`` and ``labels`` tuples are built on first use; the
-transforms, ``assemble`` and the recurrent route never need them.
+fills ``slot_coeffs`` with one gather.  The basis keeps per-slot arrays
+only, and a ``WaveletField`` is one coefficient per slot.  The per-vertex
+``coeffs`` dict of views and the ``slots`` and ``labels`` tuples are
+built on first use; no transform or route needs them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -61,6 +61,17 @@ EQUAL_MEASURE_RTOL = 1e-12
 NORM_TOL = 1e-9
 
 
+def _read_only(values, n: int, name: str, not_finite: str) -> np.ndarray:
+    """``values`` as a read-only (n,) complex vector of finite numbers."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape != (n,):
+        raise ValueError(f"{name} needs {n} values, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(not_finite)
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class LeafField:
     """Complex piecewise-constant function on the space: one value per leaf.
@@ -72,16 +83,9 @@ class LeafField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.shape != (self.tree.n_leaves,):
-            raise ValueError(
-                f"leaf field needs {self.tree.n_leaves} values, "
-                f"got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("leaf field values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(
+            self.values, self.tree.n_leaves, "leaf field",
+            "leaf field values must be finite"))
 
     @classmethod
     def zero(cls, tree: BallTree) -> "LeafField":
@@ -257,76 +261,57 @@ class WaveletBasis:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveletField:
-    """Sparse map from wavelet slots (vertex, j) to complex coefficients."""
+    """Wavelet coefficients of a mean-zero field: one value per slot of the
+    basis, in its slot order (``WaveletBasis.slot_of``), stored read-only.
+    ``from_records`` is the reader of outside input."""
 
     basis: WaveletBasis
-    data: dict[tuple[int, int], complex] = field(default_factory=dict)
+    values: np.ndarray
 
     def __post_init__(self):
-        """Check every key and value at once; the first record in dict
-        order that is no slot of the basis, or holds a non-finite value,
-        is reported."""
-        keys = list(self.data)
-        values = np.array(list(self.data.values()), dtype=np.complex128)
-        try:
-            index = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
-        except OverflowError:  # a number past the index range is no slot
-            index = np.array([[x if abs(x) < 2 ** 62 else -1 for x in map(int, key)]
-                              for key in keys], dtype=np.intp)
-        v, j = index.T
-        inside = (v >= 0) & (v < self.tree.n_vertices)
-        branching = self.tree.branching[np.where(inside, v, 0)]
-        slot = inside & (j >= 0) & (j < branching - 1)
-        bad = np.flatnonzero(~(slot & np.isfinite(values)))
-        if len(bad):
-            first = bad[0]
-            if not slot[first]:
-                vertex, j = map(int, keys[first])
-                raise ValueError(
-                    f"({self.tree.label(vertex)!r}, {j}) "
-                    "is not a wavelet slot of this basis"
-                )
-            raise ValueError("wavelet coefficients must be finite")
-        self.data = dict(zip(zip(v.tolist(), j.tolist()), values.tolist()))
-
-    @property
-    def tree(self) -> BallTree:
-        return self.basis.tree
+        object.__setattr__(self, "values", _read_only(
+            self.values, self.basis.n_slots, "wavelet field",
+            "wavelet coefficients must be finite"))
 
     @classmethod
     def from_records(
         cls, basis: WaveletBasis, records: Iterable[Sequence]
     ) -> "WaveletField":
-        """Build from (vertex path, wavelet index, real, imag) records; all
-        paths are resolved at once by ``BallTree.vertices``."""
-        records = [(str(path), j, re, im) for path, j, re, im in records]
-        verts = basis.tree.vertices([rec[0] for rec in records]).tolist()
-        return cls(basis, {(v, int(j)): complex(float(re), float(im))
-                           for v, (_, j, re, im) in zip(verts, records)})
+        """Build from (vertex path, wavelet index, real, imag) records, a
+        scenario's ``initial.wavelets``: unnamed slots are 0, a slot named
+        twice keeps its last value, and the first record, in record order,
+        that names no slot or holds a non-finite value is reported."""
+        tree = basis.tree
+        records = [(str(path), int(j), complex(float(re), float(im)))
+                   for path, j, re, im in records]
+        vertex = tree.vertices([path for path, _, _ in records])
+        # a number past the index range is no slot
+        j = np.array([j if abs(j) < 2 ** 62 else -1 for _, j, _ in records],
+                     dtype=np.intp)
+        z = np.array([z for _, _, z in records], dtype=np.complex128)
+        slot = (j >= 0) & (j < tree.branching[vertex] - 1)
+        bad = np.flatnonzero(~(slot & np.isfinite(z)))
+        if len(bad):
+            first = bad[0]
+            if not slot[first]:
+                raise ValueError(
+                    f"({tree.label(vertex[first])!r}, {records[first][1]}) "
+                    "is not a wavelet slot of this basis"
+                )
+            raise ValueError("wavelet coefficients must be finite")
+        values = np.zeros(basis.n_slots, dtype=np.complex128)
+        values[basis._first_slot[vertex] + j] = z
+        return cls(basis, values)
 
     def records(self) -> list[tuple[str, int, float, float]]:
-        out = []
-        for v, j in sorted(self.data, key=lambda key: self.basis.slot_of(*key)):
-            z = self.data[(v, j)]
-            out.append((self.basis.tree.label(v), j, z.real, z.imag))
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Coefficient vector over all basis slots (zeros where absent)."""
-        vec = np.zeros(self.basis.n_slots, dtype=np.complex128)
-        if self.data:  # keys were checked on construction: one gather
-            keys = np.array(list(self.data), dtype=np.intp)
-            vec[self.basis._first_slot[keys[:, 0]] + keys[:, 1]] = list(
-                self.data.values())
-        return vec
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, key: tuple[int, int]) -> complex:
-        return self.data.get((int(key[0]), int(key[1])), 0j)
+        """(vertex path, wavelet index, real, imag) of every nonzero slot,
+        in slot order: ``from_records`` reads the same field back."""
+        basis, nonzero = self.basis, np.flatnonzero(self.values)
+        return [(basis.tree.label(v), j, z.real, z.imag) for v, j, z in zip(
+            basis.slot_vertex[nonzero].tolist(), basis.slot_wavelet[nonzero].tolist(),
+            self.values[nonzero].tolist())]
 
 
 def build_basis(tree: BallTree, scheme: str = "gram-schmidt") -> WaveletBasis:
@@ -424,12 +409,12 @@ def _roots_of_unity_block(nu: np.ndarray, label: str) -> np.ndarray:
 
 
 def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
-    """Expand a mean-zero leaf field over the wavelet basis.
+    """Expand a mean-zero leaf field over the wavelet basis: the field's
+    slot vector is one ``WaveletBasis.analyze_array`` sweep.
 
     Rejects inputs whose mean exceeds ``1e-10`` times the field norm: the
     coefficient space spans only mean-zero functions, and silently dropping
-    a constant part would break round trips.  Exactly-zero coefficients are
-    omitted from the result.
+    a constant part would break round trips.
     """
     check_same_tree(basis.tree, f,
                     message="leaf field and basis belong to different trees")
@@ -439,13 +424,9 @@ def analyze(basis: WaveletBasis, f: LeafField) -> WaveletField:
             f"{MEAN_ZERO_RTOL:g} of its norm; only mean-zero fields expand "
             "over wavelets"
         )
-    vec = basis.analyze_array(f.values)
-    nonzero = np.flatnonzero(vec)
-    slots = zip(basis.slot_vertex[nonzero].tolist(),
-                basis.slot_wavelet[nonzero].tolist())
-    return WaveletField(basis, dict(zip(slots, vec[nonzero].tolist())))
+    return WaveletField(basis, basis.analyze_array(f.values))
 
 
 def synthesize(v: WaveletField) -> LeafField:
     """Sum the wavelet expansion back into leaf values."""
-    return LeafField(v.basis.tree, v.basis.synthesize_array(v.dense()))
+    return LeafField(v.basis.tree, v.basis.synthesize_array(v.values))

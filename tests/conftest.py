@@ -60,15 +60,26 @@ def random_initial(
 ) -> uc.WaveletField:
     """Random coefficients on a random subset of slots, |value| <= max_abs."""
     scale = max_abs / np.sqrt(2.0)
-    data: dict[tuple[int, int], complex] = {}
-    for slot in basis.slots:
+    values = np.zeros(basis.n_slots, dtype=np.complex128)
+    picked = np.zeros(basis.n_slots, dtype=bool)
+    for s in range(basis.n_slots):
         if rng.random() < density:
-            data[slot] = complex(
+            picked[s] = True
+            values[s] = complex(
                 rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale
             )
-    if not data:
-        data[basis.slots[int(rng.integers(basis.n_slots))]] = 0.5 + 0j
-    return uc.WaveletField(basis, data)
+    if not picked.any():
+        values[int(rng.integers(basis.n_slots))] = 0.5 + 0j
+    return uc.WaveletField(basis, values)
+
+
+def slot_field(basis: uc.WaveletBasis, data: dict) -> uc.WaveletField:
+    """The field with coefficient ``data[(vertex, j)]`` on each named slot
+    and 0 elsewhere."""
+    values = np.zeros(basis.n_slots, dtype=np.complex128)
+    for (vertex, j), z in data.items():
+        values[basis.slot_of(vertex, j)] = z
+    return uc.WaveletField(basis, values)
 
 
 def random_mean_zero_field(

@@ -21,6 +21,7 @@ from conftest import (
     nested_pair_closed_form,
     random_mean_zero_field,
     record_acceptance,
+    slot_field,
 )
 
 GRAM_TOL = 1e-12
@@ -129,7 +130,7 @@ def test_nested_pair_closed_forms():
     tree, basis, interaction, dissipation = depth2_example()
     system = uc.assemble(tree, basis, interaction, dissipation)
     mid = tree.vertex("0")
-    v0 = uc.WaveletField(basis, {(tree.root, 0): 0.6, (mid, 0): 0.5})
+    v0 = slot_field(basis, {(tree.root, 0): 0.6, (mid, 0): 0.5})
     weight = uc.ancestor_value(
         basis, tree.root, 0, mid
     ) * uc.interaction_coefficient(interaction, tree.root, mid)
@@ -233,7 +234,7 @@ def test_support_localization(triangle_runs):
     worst = 0.0
     zero_slots = 0
     for system, v0, trajectories, _ in triangle_runs:
-        dense0 = v0.dense()
+        dense0 = v0.values
         idle = np.flatnonzero(dense0 == 0)
         zero_slots += len(idle)
         for traj in trajectories.values():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ultracascade as uc
 from ultracascade import cli
 
-from conftest import leftovers, no_child_left, random_mean_zero_field
+from conftest import leftovers, no_child_left, random_mean_zero_field, slot_field
 
 
 def minimal_config() -> dict:
@@ -163,7 +163,7 @@ def test_build_scenario_wavelet_initial():
     cfg = uc.parse_config(minimal_config())
     scen = uc.build_scenario(cfg)
     assert scen.system.tree.n_leaves == 4
-    dense = scen.v0.dense()
+    dense = scen.v0.values
     slot = scen.system.basis.slot_of(scen.system.tree.root, 0)
     assert dense[slot] == 1.0
 
@@ -183,7 +183,7 @@ def test_build_scenario_makes_no_synthesis_pass(monkeypatch):
 
     monkeypatch.setattr(uc.WaveletBasis, "synthesize_array", refuse)
     scen = uc.build_scenario(uc.parse_config(minimal_config()))
-    assert scen.v0.dense()[0] == 1.0
+    assert scen.v0.values[0] == 1.0
 
 
 def test_build_scenario_leaf_initial_mean_zero():
@@ -1162,7 +1162,7 @@ def test_budgets_admit_the_depth_20_tree_and_bundled_sizes(scenario_dir):
 
 def test_solvers_refuse_a_trajectory_over_budget():
     system = uc.build_scenario(uc.parse_config(minimal_config())).system
-    v0 = uc.WaveletField(system.basis, {(0, 0): 0.5})
+    v0 = slot_field(system.basis, {(0, 0): 0.5})
     for solve in (uc.solve_recurrent, uc.solve_rk):
         with pytest.raises(ValueError, match="above the limit"):
             solve(system, v0, 1e9, 1e-9)

@@ -18,7 +18,7 @@ import ultracascade as uc
 from ultracascade import cli, solver
 from ultracascade.solver import _coefficient_rhs, _integrate, _leaf_sweep
 
-from conftest import dissipative_kernel, random_initial, two_pass_leaf_sweep
+from conftest import dissipative_kernel, random_initial, slot_field, two_pass_leaf_sweep
 
 
 def _random_trees(seed: int, count: int):
@@ -130,7 +130,7 @@ def _route(name, seed):
     v0 = random_initial(basis, rng, density=1.0)
     if name == "rk":
         system = uc.assemble(tree, basis, interaction, dissipation)
-        return ("_coefficient_rhs", v0.dense(),
+        return ("_coefficient_rhs", v0.values,
                 lambda t_end, dt: uc.solve_rk(system, v0, t_end, dt))
     f0 = uc.synthesize(v0)
     return ("_leaf_sweep", f0.values,
@@ -195,18 +195,18 @@ def _abort_problem(case):
     if case == "mid-run step error":
         tree = uc.build_tree({"p": 3, "depth": 3})
         basis = uc.build_basis(tree)
-        v0 = uc.WaveletField(basis, {s: 0.3 for s in basis.slots})
+        v0 = uc.WaveletField(basis, np.full(basis.n_slots, 0.3))
         return (tree, basis, uc.Kernel.power(tree, 0.5, 0.5),
                 uc.Kernel.constant(tree, -40.0), v0, 1e-3)
     tree = uc.build_tree({"p": 2, "depth": 1})
     basis = uc.build_basis(tree)
     one = uc.Kernel.constant(tree, 1.0)
     if case == "first-step error":
-        v0 = uc.WaveletField(basis, {(tree.root, 0): 1.0})
+        v0 = slot_field(basis, {(tree.root, 0): 1.0})
         return tree, basis, one, uc.Kernel.constant(tree, 5000.0), v0, 1e-2
     # growing dissipation: 1e6 e^{30 t} passes 1e12 before t = 1 while the
     # step-error gauge stays quiet
-    v0 = uc.WaveletField(basis, {(tree.root, 0): 1e6})
+    v0 = slot_field(basis, {(tree.root, 0): 1e6})
     return tree, basis, one, uc.Kernel.constant(tree, -30.0), v0, 1e-4
 
 

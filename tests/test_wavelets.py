@@ -12,7 +12,12 @@ import ultracascade as uc
 from ultracascade import oracles
 from ultracascade.wavelets import _gram_schmidt_block, _roots_of_unity_block
 
-from conftest import build_counting_blocks, dense_basis_matrix, random_mean_zero_field
+from conftest import (
+    build_counting_blocks,
+    dense_basis_matrix,
+    random_mean_zero_field,
+    slot_field,
+)
 
 
 def weighted_gram(block: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -162,7 +167,7 @@ def test_analyze_of_wavelet_is_unit_coefficient():
     basis = uc.build_basis(tree)
     target = basis.slots[3]
     field = uc.analyze(basis, basis.as_leaf_field(*target))
-    dense = field.dense()
+    dense = field.values
     expect = np.zeros(basis.n_slots, dtype=complex)
     expect[basis.slot_of(*target)] = 1.0
     assert np.abs(dense - expect).max() <= 1e-12
@@ -172,7 +177,8 @@ def test_analyze_zero_field_is_empty():
     tree = uc.build_tree({"p": 2, "depth": 2})
     basis = uc.build_basis(tree)
     field = uc.analyze(basis, uc.LeafField.zero(tree))
-    assert len(field) == 0
+    assert not field.values.any()
+    assert field.records() == []
 
 
 def test_synthesize_output_mean_zero():
@@ -180,7 +186,7 @@ def test_synthesize_output_mean_zero():
     tree = uc.random_tree(rng, max_leaves=30)
     basis = uc.build_basis(tree)
     v = uc.WaveletField(
-        basis, {slot: complex(rng.normal(), rng.normal()) for slot in basis.slots}
+        basis, [complex(rng.normal(), rng.normal()) for _ in range(basis.n_slots)]
     )
     f = uc.synthesize(v)
     assert abs(f.mean()) <= 1e-12 * max(f.norm(), 1e-30)
@@ -226,8 +232,9 @@ def test_wavelet_field_records_round_trip():
         basis, [("", 1, 0.25, -0.5), ("2", 0, -1.0, 0.0)]
     )
     records = field.records()
+    assert records == [("", 1, 0.25, -0.5), ("2", 0, -1.0, 0.0)]
     again = uc.WaveletField.from_records(basis, records)
-    assert again.data == field.data
+    assert again.values.tobytes() == field.values.tobytes()
     with pytest.raises(ValueError, match="slot"):
         uc.WaveletField.from_records(basis, [("0.0", 0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="slot"):
@@ -244,51 +251,69 @@ def test_wavelet_field_records_name_the_first_unknown_path():
     records = good + [("1.0", 1, 0.5, -2.0), ("2", 0, 3.0, 0.0)]  # "2" again: last wins
     field = uc.WaveletField.from_records(basis, iter(records))
     tree = basis.tree
-    assert field.data == {(tree.vertex(p), j): complex(x, y) for p, j, x, y in records}
-    assert field[tree.vertex("2"), 0] == 3.0
+    want = slot_field(basis, {(tree.vertex(p), j): complex(x, y) for p, j, x, y in records})
+    assert np.array_equal(field.values, want.values)
+    assert field.values[basis.slot_of(tree.vertex("2"), 0)] == 3.0
 
 
-def reference_field_check(basis: uc.WaveletBasis, data: dict) -> str | None:
-    """The per-record check the array check replaced: the message of the
-    first record in dict order that is no slot or holds a non-finite
-    value, or None."""
-    for (v, j), z in data.items():
-        if not basis.has_slot(v, j):
-            try:
-                return f"({basis.tree.label(int(v))!r}, {int(j)}) is not a wavelet slot of this basis"
-            except ValueError as exc:  # a vertex id out of range
-                return str(exc)
-        if not np.isfinite(complex(z)):
+def reference_field_check(basis: uc.WaveletBasis, records: list) -> str | None:
+    """The per-record check: the message of the first record, in record
+    order, that is no slot or holds a non-finite value, or None."""
+    for path, j, re_, im in records:
+        if not basis.has_slot(basis.tree.vertex(path), j):
+            return f"({path!r}, {j}) is not a wavelet slot of this basis"
+        if not np.isfinite(complex(re_, im)):
             return "wavelet coefficients must be finite"
     return None
 
 
-def test_wavelet_field_reports_the_first_bad_record_in_dict_order():
+def test_wavelet_field_reports_the_first_bad_record_in_record_order():
     basis = uc.build_basis(uc.build_tree({"p": 3, "depth": 2}))
     tree = basis.tree
-    root, leaf = tree.root, tree.vertex("0.1")
     with pytest.raises(ValueError, match=r"^\('0\.1', 0\) is not a wavelet slot"):
-        uc.WaveletField(basis, {(root, 0): 1.0, (leaf, 0): 1.0, (root, 1): np.nan})
+        uc.WaveletField.from_records(
+            basis, [("", 0, 1.0, 0.0), ("0.1", 0, 1.0, 0.0), ("", 1, np.nan, 0.0)])
     with pytest.raises(ValueError, match="^wavelet coefficients must be finite$"):
-        uc.WaveletField(basis, {(root, 0): 1.0, (root, 1): np.inf, (root, 2): 1.0})
+        uc.WaveletField.from_records(
+            basis, [("", 0, 1.0, 0.0), ("", 1, np.inf, 0.0), ("", 2, 1.0, 0.0)])
     with pytest.raises(ValueError, match=r"^\('', 10{30}\) is not a wavelet slot"):
-        uc.WaveletField(basis, {(root, 0): 1.0, (root, 10 ** 30): 1.0, (root, 1): np.nan})
-    # the same verdict as the per-record reference on random mixes
+        uc.WaveletField.from_records(
+            basis, [("", 0, 1.0, 0.0), ("", 10 ** 30, 1.0, 0.0), ("", 1, np.nan, 0.0)])
+    # the same verdict as the per-record reference on random mixes, a
+    # slot named twice included: the last record wins
     rng = np.random.default_rng(5)
-    keys = [(v, j) for v in (-1, root, leaf, tree.vertex("2"), tree.n_vertices, 2 ** 70)
-            for j in (-1, 0, 1, 2)]
+    keys = [(path, j) for path in ("", "0.1", "2", "1")
+            for j in (-1, 0, 1, 2, 2 ** 70, -(10 ** 30))]
     pool = [0.5, -2j, 1 + 1j, np.nan, complex(0, np.inf), -np.inf]
     for _ in range(300):
-        picks = rng.choice(len(keys), size=rng.integers(0, 6), replace=False)
-        data = {keys[k]: pool[rng.integers(len(pool))] for k in picks}
-        expected = reference_field_check(basis, data)
+        picks = rng.choice(len(keys), size=rng.integers(0, 6))
+        records = [(*keys[k], z.real, z.imag)
+                   for k, z in ((k, complex(pool[rng.integers(len(pool))])) for k in picks)]
+        expected = reference_field_check(basis, records)
         if expected is None:
-            field = uc.WaveletField(basis, data)
-            assert field.data == {key: complex(z) for key, z in data.items()}
+            want = np.zeros(basis.n_slots, dtype=complex)
+            for path, j, re_, im in records:
+                want[basis.slot_of(tree.vertex(path), j)] = complex(re_, im)
+            field = uc.WaveletField.from_records(basis, records)
+            assert field.values.tobytes() == want.tobytes()
         else:
             with pytest.raises(ValueError) as err:
-                uc.WaveletField(basis, data)
+                uc.WaveletField.from_records(basis, records)
             assert str(err.value) == expected
+
+
+def test_wavelet_field_is_a_read_only_slot_vector():
+    basis = uc.build_basis(uc.build_tree({"p": 3, "depth": 2}))
+    values = np.arange(basis.n_slots) * (1 - 1j)
+    field = uc.WaveletField(basis, values)
+    assert field.values.dtype == np.complex128
+    assert np.array_equal(field.values, values)
+    with pytest.raises(ValueError):
+        field.values[0] = 1.0
+    with pytest.raises(ValueError, match="^wavelet field needs 8 values, got shape"):
+        uc.WaveletField(basis, np.zeros(7))
+    with pytest.raises(ValueError, match="^wavelet coefficients must be finite$"):
+        uc.WaveletField(basis, np.full(basis.n_slots, np.nan))
 
 
 def test_leaf_field_records_round_trip():
@@ -346,13 +371,13 @@ def test_transform_sweeps_match_dense_matrix():
         nu = tree.measure[tree.leaves]
         row_bound = np.abs(basis.slot_coeffs).sum(axis=1).max()
         f = random_mean_zero_field(tree, rng)
-        got = uc.analyze(basis, f).dense()
+        got = uc.analyze(basis, f).values
         want = matrix.conj() @ (f.values * nu)
         bound = row_bound * (np.abs(f.values) @ nu)
         assert np.abs(got - want).max() <= 1e-15 * bound
 
         vec = rng.normal(size=basis.n_slots) + 1j * rng.normal(size=basis.n_slots)
-        got = uc.synthesize(uc.WaveletField(basis, dict(zip(basis.slots, vec))))
+        got = uc.synthesize(uc.WaveletField(basis, vec))
         want = vec @ matrix
         bound = np.abs(vec) @ np.abs(basis.slot_coeffs).max(axis=1)
         assert np.abs(got.values - want).max() <= 1e-15 * bound
